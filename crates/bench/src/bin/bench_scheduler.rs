@@ -19,17 +19,19 @@
 //! `cold_request_ms` — analyze + calibrate + schedule on a fresh
 //! application), the run cross-checks the fast analyzer against the
 //! full-trace reference (`analyze_match`, with `analyze_speedup` derived
-//! from the same run), the parallel sharded analyzer against the serial
-//! `DepGraphBuilder` (`analyzer_match`), and hashes the emitted schedule
-//! from both dependency graphs (`schedule_hash`, `schedule_hash_match`) —
-//! the CI smoke test fails on any mismatch or on `analyze_speedup < 5`.
+//! from the same run), the workload's dependency graph against the serial
+//! word-level `DepGraphBuilder` (`analyzer_match`), and hashes the emitted
+//! schedule from both dependency graphs (`schedule_hash`,
+//! `schedule_hash_match`) — the CI smoke test fails on any mismatch, on
+//! `analyze_speedup < 5`, or on `analyze_ms` above 1.5x the committed
+//! `results/BENCH_scheduler_smoke.json`.
 
 use bench::timing::{bench, BenchStats};
 use bench::{build_workload_app, paper_ktiler_config, prepare, schedule_at, Scale};
 use gpu_sim::FreqConfig;
 use kgraph::GraphTrace;
 use ktiler::{calibrate, ktiler_schedule, schedule_to_text, CalibrationConfig};
-use trace::{build_dep_graph, BlockRef, BlockTrace, DepGraphBuilder};
+use trace::{BlockRef, DepGraphBuilder};
 
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -164,31 +166,19 @@ fn main() {
     });
     push("cold_request_ms", cold_stats);
 
-    // ---- Cross-check: parallel sharded analyzer vs serial builder. -----
+    // ---- Cross-check: structural analyzer vs serial word builder. -----
     // Replay the exact visit order of the analysis run through the serial
-    // `DepGraphBuilder` and through the sharded parallel builder, and
-    // require all three graphs (including the one the workload was
-    // actually analyzed with) to be identical.
-    let visits: Vec<(BlockRef, &BlockTrace)> =
-        w.gt.order
-            .iter()
-            .flat_map(|&id| {
-                w.gt.nodes[id.0 as usize]
-                    .blocks
-                    .iter()
-                    .enumerate()
-                    .map(move |(b, t)| (BlockRef::new(id.0, b as u32), t))
-            })
-            .collect();
+    // `DepGraphBuilder` and require its graph to equal the one the
+    // workload was actually analyzed with.
     let mut builder = DepGraphBuilder::new();
-    for &(r, t) in &visits {
-        builder.visit_block(r, t);
+    for &id in &w.gt.order {
+        for (b, t) in w.gt.nodes[id.0 as usize].blocks.iter().enumerate() {
+            builder.visit_block(BlockRef::new(id.0, b as u32), t);
+        }
     }
     let serial_deps = builder.finish();
-    let parallel_deps = build_dep_graph(&visits, 4);
-    drop(visits);
-    let analyzer_match = serial_deps == parallel_deps && serial_deps == w.gt.deps;
-    println!("analyzer serial/parallel graphs identical: {analyzer_match}");
+    let analyzer_match = serial_deps == w.gt.deps;
+    println!("analyzer graph == serial word builder: {analyzer_match}");
 
     // Schedule fingerprint: the emitted schedule must be byte-identical
     // whether the tiler consumed the workload's dependency graph or the

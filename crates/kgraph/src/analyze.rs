@@ -41,8 +41,8 @@ use std::sync::Arc;
 
 use gpu_sim::{BlockWork, Buffer, DeviceMemory, LaunchDims};
 use trace::{
-    build_dep_graph, coalesce_blocks, rebase_traces, synthesize_affine, BlockDepGraph, BlockRef,
-    BlockTrace, ExecCtx, OffsetMap, RawBlockTrace, StructuralDepBuilder, TraceRecorder,
+    coalesce_blocks, rebase_traces, synthesize_affine, BlockDepGraph, BlockRef, BlockTrace,
+    DepGraphBuilder, ExecCtx, OffsetMap, RawBlockTrace, StructuralDepBuilder, TraceRecorder,
 };
 
 use crate::dag::{topo_order, CycleError};
@@ -406,10 +406,11 @@ fn analyze_impl(
 }
 
 /// The original analyzer pipeline: record every kernel (sharing only exact
-/// signature repeats) and build the dependency graph with the sharded
-/// last-writer pass. Kept as the measurement baseline and the oracle the
-/// structural/affine fast paths are verified against — its results must be
-/// byte-identical to [`analyze_with`]'s at any thread count.
+/// signature repeats) and build the dependency graph with the serial
+/// word-level [`DepGraphBuilder`]. Kept as the measurement baseline and the
+/// oracle the structural/affine fast paths are verified against — its
+/// results must be byte-identical to [`analyze_with`]'s at any thread
+/// count (`threads` only parallelizes trace coalescing).
 ///
 /// # Errors
 ///
@@ -460,15 +461,14 @@ pub fn analyze_reference_with(
         nodes[id.0 as usize] = Some(NodeTrace { blocks: traces });
     }
 
-    let visits: Vec<(BlockRef, &BlockTrace)> = order
-        .iter()
-        .flat_map(|&id| {
-            let nt = nodes[id.0 as usize].as_ref().expect("topo order covers all nodes");
-            nt.blocks.iter().enumerate().map(move |(b, t)| (BlockRef::new(id.0, b as u32), t))
-        })
-        .collect();
-    let deps = build_dep_graph(&visits, threads);
-    drop(visits);
+    let mut builder = DepGraphBuilder::new();
+    for &id in &order {
+        let nt = nodes[id.0 as usize].as_ref().expect("topo order covers all nodes");
+        for (b, t) in nt.blocks.iter().enumerate() {
+            builder.visit_block(BlockRef::new(id.0, b as u32), t);
+        }
+    }
+    let deps = builder.finish();
 
     Ok(GraphTrace {
         nodes: nodes.into_iter().map(|n| n.expect("topo order covers all nodes")).collect(),

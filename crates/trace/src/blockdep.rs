@@ -133,8 +133,9 @@ impl DepGraphBuilder {
 /// `visit_block` pushes one candidate edge per resolved read, so a block
 /// that reads a producer's words many times floods the tail with
 /// duplicates; this keeps the accumulated list near its final size without
-/// rescanning the (already tail-deduped) prefix.
-fn dedup_tail(edges: &mut Vec<(BlockRef, BlockRef)>, start: usize) {
+/// rescanning the (already tail-deduped) prefix. The structural builder
+/// compacts each node's tail the same way.
+pub(crate) fn dedup_tail(edges: &mut Vec<(BlockRef, BlockRef)>, start: usize) {
     let tail = &mut edges[start..];
     if tail.len() < 2 {
         return;
@@ -153,7 +154,7 @@ fn dedup_tail(edges: &mut Vec<(BlockRef, BlockRef)>, start: usize) {
 /// Lays out the forward and reverse CSR arrays from a raw edge list.
 ///
 /// The edge list may contain duplicates and be in any order; one global
-/// sort + dedup canonicalizes it, which is what makes the sharded parallel
+/// sort + dedup canonicalizes it, which is what makes the structural
 /// builder's output byte-identical to the serial builder's.
 pub(crate) fn csr_from_edges(
     mut edges: Vec<(BlockRef, BlockRef)>,
@@ -194,118 +195,6 @@ pub(crate) fn csr_from_edges(
     let rdeps_edges: Vec<BlockRef> = redges.iter().map(|&(_, c)| c).collect();
 
     BlockDepGraph { num_blocks, node_base, deps_off, deps_edges, rdeps_off, rdeps_edges }
-}
-
-/// Number of word-address shards of the parallel dependency builder.
-///
-/// The shard of a word is `word % DEP_SHARDS`; shard `s` is always handled
-/// by worker `s % threads`, so the worker→shard assignment (and therefore
-/// the output) does not depend on scheduling.
-pub const DEP_SHARDS: usize = 16;
-
-/// Builds a [`BlockDepGraph`] from a complete visit order by sharding the
-/// last-writer resolution across `threads` workers.
-///
-/// Each worker owns the word addresses with `word % DEP_SHARDS` in its
-/// shard set and replays the *full* visit order over only those words,
-/// maintaining a private [`WordMap`] and emitting a local edge list.
-/// Because a word's entire read/write history is seen by exactly one
-/// worker, in order, each local list is exactly the subset of the serial
-/// builder's edges contributed by that worker's words; concatenating the
-/// lists and canonicalizing through [`csr_from_edges`]'s global sort +
-/// dedup therefore yields a graph byte-identical to the serial
-/// [`DepGraphBuilder`]'s (asserted by a property test).
-///
-/// `visits` is the program-order sequence of `(block, trace)` pairs —
-/// the same sequence that would be fed to
-/// [`visit_block`](DepGraphBuilder::visit_block).
-pub fn build_dep_graph(visits: &[(BlockRef, &BlockTrace)], threads: usize) -> BlockDepGraph {
-    let threads = threads.clamp(1, DEP_SHARDS);
-
-    // Grid sizes are scheduling-independent; compute them serially.
-    let mut num_blocks: Vec<u32> = Vec::new();
-    for &(r, _) in visits {
-        if r.node as usize >= num_blocks.len() {
-            num_blocks.resize(r.node as usize + 1, 0);
-        }
-        let n = &mut num_blocks[r.node as usize];
-        *n = (*n).max(r.block + 1);
-    }
-
-    let worker = |id: usize| -> Vec<(BlockRef, BlockRef)> {
-        let mut last_writer = WordMap::new();
-        let mut readers: HashMap<u64, Vec<BlockRef>> = HashMap::new();
-        let mut edges: Vec<(BlockRef, BlockRef)> = Vec::new();
-        let owns = |word: u64| (word as usize % DEP_SHARDS) % threads == id;
-        // Prepass: the visit index of each owned word's final write. Reader
-        // lists exist to resolve WAR hazards at the *next* write, so words
-        // never written again (input planes read by every iteration) need
-        // no reader tracking — without this the lists grow with the total
-        // read count of the workload instead of its reuse distance.
-        let mut final_write: HashMap<u64, u32> = HashMap::new();
-        for (i, &(_, t)) in visits.iter().enumerate() {
-            for &word in &t.write_words {
-                if owns(word) {
-                    final_write.insert(word, i as u32);
-                }
-            }
-        }
-        for (i, &(r, t)) in visits.iter().enumerate() {
-            let before = edges.len();
-            for &word in &t.read_words {
-                if !owns(word) {
-                    continue;
-                }
-                if let Some(producer) = last_writer.get(word) {
-                    if producer.node != r.node {
-                        edges.push((r, producer));
-                    }
-                }
-                if final_write.get(&word).is_some_and(|&w| w > i as u32) {
-                    readers.entry(word).or_default().push(r);
-                }
-            }
-            dedup_tail(&mut edges, before);
-            let before = edges.len();
-            for &word in &t.write_words {
-                if !owns(word) {
-                    continue;
-                }
-                if let Some(prev) = last_writer.get(word) {
-                    if prev.node != r.node {
-                        edges.push((r, prev));
-                    }
-                }
-                if let Some(rs) = readers.get_mut(&word) {
-                    for &rd in rs.iter() {
-                        if rd.node != r.node {
-                            edges.push((r, rd));
-                        }
-                    }
-                    rs.clear();
-                }
-                last_writer.insert(word, r);
-            }
-            dedup_tail(&mut edges, before);
-        }
-        edges
-    };
-
-    let edges = if threads == 1 {
-        worker(0)
-    } else {
-        let locals: Vec<Vec<(BlockRef, BlockRef)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads).map(|id| s.spawn(move || worker(id))).collect();
-            handles.into_iter().map(|h| h.join().expect("dep-graph workers do not panic")).collect()
-        });
-        let mut merged = Vec::with_capacity(locals.iter().map(Vec::len).sum());
-        for local in locals {
-            merged.extend(local);
-        }
-        merged
-    };
-
-    csr_from_edges(edges, num_blocks)
 }
 
 /// The block-level dependency graph of an application, in CSR form.
@@ -612,57 +501,6 @@ mod tests {
         let g = b.finish();
         assert_eq!(g.blocks_of_node(3), 8);
         assert_eq!(g.blocks_of_node(99), 0);
-    }
-
-    #[test]
-    fn parallel_builder_matches_serial_on_stencil() {
-        // Same workload as `stencil_pattern_matches_paper_fig1b`, built
-        // serially and via the sharded builder at several thread counts.
-        let mut traces: Vec<(BlockRef, BlockTrace)> = Vec::new();
-        for i in 0..4u32 {
-            let words: Vec<u64> = (0..10).map(|k| (10 * i + k) as u64).collect();
-            traces.push((BlockRef::new(0, i), trace(&[], &words)));
-        }
-        let reads: Vec<u64> = (0..4u64).flat_map(|i| (0..4).map(move |k| 10 * i + k)).collect();
-        traces.push((BlockRef::new(1, 0), trace(&reads, &[100])));
-
-        let mut b = DepGraphBuilder::new();
-        for (r, t) in &traces {
-            b.visit_block(*r, t);
-        }
-        let serial = b.finish();
-
-        let visits: Vec<(BlockRef, &BlockTrace)> = traces.iter().map(|(r, t)| (*r, t)).collect();
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(build_dep_graph(&visits, threads), serial, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_builder_matches_serial_on_hazards() {
-        // Overwrites and re-reads across shard boundaries: WAR/WAW edges
-        // must come out identical from the sharded and serial builders.
-        let traces: Vec<(BlockRef, BlockTrace)> = vec![
-            (BlockRef::new(0, 0), trace(&[], &(0..16).collect::<Vec<u64>>())),
-            (BlockRef::new(1, 0), trace(&(0..8).collect::<Vec<u64>>(), &[20])),
-            (BlockRef::new(2, 0), trace(&(4..12).collect::<Vec<u64>>(), &[21])),
-            (BlockRef::new(3, 0), trace(&[], &(2..10).collect::<Vec<u64>>())),
-            (BlockRef::new(4, 0), trace(&(0..16).collect::<Vec<u64>>(), &[20, 21])),
-        ];
-
-        let mut b = DepGraphBuilder::new();
-        for (r, t) in &traces {
-            b.visit_block(*r, t);
-        }
-        let serial = b.finish();
-        // Sanity: node 3's overwrite is WAR-ordered after both readers.
-        assert!(serial.deps_of(BlockRef::new(3, 0)).contains(&BlockRef::new(1, 0)));
-        assert!(serial.deps_of(BlockRef::new(3, 0)).contains(&BlockRef::new(2, 0)));
-
-        let visits: Vec<(BlockRef, &BlockTrace)> = traces.iter().map(|(r, t)| (*r, t)).collect();
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(build_dep_graph(&visits, threads), serial, "threads {threads}");
-        }
     }
 
     #[test]

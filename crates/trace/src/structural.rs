@@ -19,7 +19,16 @@
 //!   cached by `(consumer trace, buffer, layer traces)` identity, so the 30
 //!   structurally identical Jacobi iterations of a pyramid level resolve
 //!   their dependencies once and replay the template 29 times with node
-//!   ids substituted.
+//!   ids substituted (WAW hazards resolve the node's first-writer runs the
+//!   same way);
+//! * per buffer, a stack of *reader layers* (node, surviving read runs,
+//!   dead runs) replaces the word builder's reader lists. A write resolves
+//!   its WAR hazards with one forward sweep over its first-writer runs and
+//!   each layer's reader runs, both sorted by address, so the cost follows
+//!   the overlaps found rather than the product of the run counts; an
+//!   overlap counts unless one of the layer's sorted, merged *dead* runs
+//!   (words overwritten since the read) covers it, and the write's coverage
+//!   is then merged into every layer's dead runs.
 //!
 //! Equivalence with the word-level builder is exact, not approximate: for
 //! every read word, "first layer from the top whose resolved runs cover it"
@@ -34,7 +43,7 @@ use std::sync::Arc;
 
 use gpu_sim::Buffer;
 
-use crate::blockdep::{csr_from_edges, BlockDepGraph, BlockRef};
+use crate::blockdep::{csr_from_edges, dedup_tail, BlockDepGraph, BlockRef};
 use crate::record::BlockTrace;
 
 /// One region of the 4-byte-word address space: a buffer's span or a gap
@@ -106,8 +115,8 @@ impl IntervalSet {
 struct ResolvedWrites {
     /// Last-writer runs, sorted by start, disjoint.
     runs: Vec<(u64, u64, u32)>,
-    /// First-writer runs `(block, start, end)`, grouped by block in block
-    /// order — the word builder charges each word's WAW/WAR hazard to the
+    /// First-writer runs `(block, start, end)`, disjoint and sorted by
+    /// address — the word builder charges each word's WAW/WAR hazard to the
     /// *first* block of the node that writes it (later same-node writers
     /// see a same-node previous writer and an empty reader list).
     first_runs: Vec<BlockRun>,
@@ -132,7 +141,8 @@ struct TraceIndex {
     reads: Vec<(u32, Vec<BlockRun>)>,
     /// Per touched region: read runs that *survive* the node's own writes —
     /// reads not followed by a same-node write of the word (by the reading
-    /// block itself or any later block). These are the word builder's
+    /// block itself or any later block), sorted by address (runs of
+    /// different blocks may overlap). These are the word builder's
     /// reader-list survivors, the targets of later nodes' WAR hazards.
     surviving_reads: Vec<(u32, Vec<BlockRun>)>,
     /// Per written region: the resolved write structure.
@@ -150,17 +160,20 @@ struct Layer {
 
 /// One reader layer on a region's stack: a node's surviving reads, minus
 /// the words overwritten (and therefore WAR-resolved) since the layer was
-/// pushed.
+/// pushed. A later write resolves against it with one address sweep over
+/// its write runs and the layer's address-sorted reader runs; an overlap
+/// is skipped when a single dead run covers it.
 #[derive(Debug)]
 struct ReadLayer {
     node: u32,
     index_idx: usize,
     /// Position in the index's `surviving_reads` for this region.
     reads_pos: usize,
-    /// Words written by later nodes: their reader entries were consumed by
-    /// that write's WAR resolution, exactly like the word builder clearing
-    /// a word's reader list at each write.
-    dead: IntervalSet,
+    /// Words written by later nodes, as sorted, merged, non-adjacent runs:
+    /// their reader entries were consumed by that write's WAR resolution,
+    /// exactly like the word builder clearing a word's reader list at each
+    /// write.
+    dead: Vec<(u64, u64)>,
 }
 
 /// Edge template entry: consumer block, layer position from the top of the
@@ -234,6 +247,7 @@ impl StructuralDepBuilder {
             }
         };
 
+        let before = self.edges.len();
         // Resolve reads before installing this node's own writes — a node
         // that reads and writes the same region sees the previous producer.
         for (region, creads) in &self.indexes[index_idx].reads {
@@ -257,6 +271,7 @@ impl StructuralDepBuilder {
             }
         }
 
+        let (mut active, mut merged) = (Vec::new(), Vec::new());
         for (pos, (region, rw)) in self.indexes[index_idx].writes.iter().enumerate() {
             // WAW: each word's first writing block of this node depends on
             // the word's previous external last writer, resolved against
@@ -285,35 +300,19 @@ impl StructuralDepBuilder {
             // layers are consumed word-wise — overwritten spans become
             // dead, like the word builder clearing reader lists.
             if let Some(rstack) = self.read_stacks.get_mut(region) {
-                let mut scratch: Vec<(u64, u64)> = Vec::new();
                 for layer in rstack.iter_mut() {
                     let runs = &self.indexes[layer.index_idx].surviving_reads[layer.reads_pos].1;
-                    // `runs` is sorted by (block, start), not by address,
-                    // so overlaps are found by a full scan per write run.
-                    for &(wblock, ws, we) in &rw.first_runs {
-                        for &(rblock, rs, re) in runs {
-                            let (os, oe) = (ws.max(rs), we.min(re));
-                            if os >= oe {
-                                continue;
-                            }
-                            scratch.clear();
-                            layer.dead.subtract(os, oe, &mut scratch);
-                            if !scratch.is_empty() {
-                                self.edges.push((
-                                    BlockRef::new(node, wblock),
-                                    BlockRef::new(layer.node, rblock),
-                                ));
-                            }
-                        }
-                    }
-                }
-                for &(s, e) in &rw.coverage {
-                    for layer in rstack.iter_mut() {
-                        layer.dead.insert(s, e);
-                    }
+                    war_sweep(&rw.first_runs, runs, &layer.dead, &mut active, |wblock, rblock| {
+                        self.edges
+                            .push((BlockRef::new(node, wblock), BlockRef::new(layer.node, rblock)));
+                    });
                 }
                 if rw.full {
                     rstack.clear();
+                } else {
+                    for layer in rstack.iter_mut() {
+                        union_runs(&mut layer.dead, &rw.coverage, &mut merged);
+                    }
                 }
             }
 
@@ -335,9 +334,13 @@ impl StructuralDepBuilder {
                 node,
                 index_idx,
                 reads_pos: pos,
-                dead: IntervalSet::default(),
+                dead: Vec::new(),
             });
         }
+
+        // Buffers read from the same producer and WAR rows repeat edges;
+        // compacting per node keeps the list near the final graph's size.
+        dedup_tail(&mut self.edges, before);
 
         if node as usize >= self.num_blocks.len() {
             self.num_blocks.resize(node as usize + 1, 0);
@@ -443,7 +446,7 @@ fn build_index(traces: &[BlockTrace], regions: &[Region]) -> TraceIndex {
                 }
             }
             if !surv.is_empty() {
-                surv.sort_unstable();
+                surv.sort_unstable_by_key(|&(b, s, e)| (s, e, b));
                 index.surviving_reads.push((region, surv));
             }
         }
@@ -476,6 +479,7 @@ fn build_index(traces: &[BlockTrace], regions: &[Region]) -> TraceIndex {
                 first_runs.extend(scratch.iter().map(|&(a, z)| (b, a, z)));
                 first_occupied.insert(s, e);
             }
+            first_runs.sort_unstable_by_key(|&(_, s, _)| s);
             let r = &regions[region as usize];
             let full = r.buffer && coverage.len() == 1 && coverage[0] == (r.start, r.end);
             index
@@ -521,6 +525,65 @@ fn build_template(creads: &[(u32, u64, u64)], layers: &[&ResolvedWrites]) -> Vec
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// Emits `(write block, reader block)` for every first-writer run that
+/// overlaps a surviving reader run on a span not wholly inside `dead`.
+///
+/// One forward sweep over both address-sorted lists: write runs are
+/// disjoint, so once a write starts at or past a reader run's end, no later
+/// write can reach it. `active` holds the reader runs that started before
+/// the current write's end and end after its start — exactly the ones it
+/// overlaps — so the work is proportional to the overlaps found.
+fn war_sweep(
+    writes: &[BlockRun],
+    reads: &[BlockRun],
+    dead: &[(u64, u64)],
+    active: &mut Vec<BlockRun>,
+    mut emit: impl FnMut(u32, u32),
+) {
+    active.clear();
+    let mut next = 0usize;
+    for &(wblock, ws, we) in writes {
+        while next < reads.len() && reads[next].1 < we {
+            active.push(reads[next]);
+            next += 1;
+        }
+        active.retain(|&(_, _, re)| re > ws);
+        for &(rblock, rs, re) in active.iter() {
+            if !covers(dead, ws.max(rs), we.min(re)) {
+                emit(wblock, rblock);
+            }
+        }
+    }
+}
+
+/// Whether `[s, e)` lies inside one run of `runs` (sorted, merged,
+/// non-adjacent — so a span is covered iff a single run covers it).
+fn covers(runs: &[(u64, u64)], s: u64, e: u64) -> bool {
+    let j = runs.partition_point(|&(_, re)| re <= s);
+    j < runs.len() && runs[j].0 <= s && runs[j].1 >= e
+}
+
+/// Replaces `runs` by `runs ∪ add`, both sorted, merged and non-adjacent;
+/// runs that overlap or touch end to end merge. `merged` is scratch space.
+fn union_runs(runs: &mut Vec<(u64, u64)>, add: &[(u64, u64)], merged: &mut Vec<(u64, u64)>) {
+    merged.clear();
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < runs.len() || j < add.len() {
+        let (s, e) = if j == add.len() || (i < runs.len() && runs[i].0 <= add[j].0) {
+            i += 1;
+            runs[i - 1]
+        } else {
+            j += 1;
+            add[j - 1]
+        };
+        match merged.last_mut() {
+            Some((_, me)) if *me >= s => *me = (*me).max(e),
+            _ => merged.push((s, e)),
+        }
+    }
+    std::mem::swap(runs, merged);
 }
 
 /// Appends `a minus cov` to `out`; both inputs are sorted disjoint runs.
@@ -861,6 +924,202 @@ mod tests {
             }
             assert_equivalent(&mem, &nodes);
         }
+    }
+
+    /// Element indices `lo..hi` of `b`.
+    fn span(b: Buffer, lo: u64, hi: u64) -> Vec<(Buffer, u64)> {
+        (lo..hi).map(|i| (b, i)).collect()
+    }
+
+    #[test]
+    fn war_sweep_resolves_overlapping_halo_reads() {
+        // Four blocks read row ranges with 2-element halos, so neighbouring
+        // reader runs overlap; a blockwise overwrite then WAR-depends on
+        // every reader block whose range (halo included) it touches.
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc_f32(64, "a");
+        let out = mem.alloc_f32(64, "out");
+        let readers: Vec<BlockTrace> = (0..4u64)
+            .map(|b| {
+                let (lo, hi) = ((16 * b).saturating_sub(2), (16 * b + 18).min(64));
+                trace(&span(a, lo, hi), &span(out, 16 * b, 16 * b + 16))
+            })
+            .collect();
+        let writers: Vec<BlockTrace> =
+            (0..4u64).map(|b| trace(&[], &span(a, 16 * b, 16 * b + 16))).collect();
+        let nodes = vec![Arc::new(readers), Arc::new(writers)];
+        let g = assert_equivalent(&mem, &nodes);
+        let deps = |b| g.deps_of(BlockRef::new(1, b)).to_vec();
+        assert_eq!(deps(0), [BlockRef::new(0, 0), BlockRef::new(0, 1)]);
+        assert_eq!(deps(1), [BlockRef::new(0, 0), BlockRef::new(0, 1), BlockRef::new(0, 2)]);
+        assert_eq!(deps(3), [BlockRef::new(0, 2), BlockRef::new(0, 3)]);
+    }
+
+    #[test]
+    fn long_reader_run_spans_several_write_runs() {
+        // One reader run over the whole buffer stays active across four
+        // disjoint write runs of different blocks.
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc_f32(64, "a");
+        let writers: Vec<BlockTrace> =
+            (0..4u64).map(|b| trace(&[], &span(a, 16 * b, 16 * b + 8))).collect();
+        let nodes = vec![Arc::new(vec![trace(&span(a, 0, 64), &[])]), Arc::new(writers)];
+        let g = assert_equivalent(&mem, &nodes);
+        for b in 0..4 {
+            assert_eq!(g.deps_of(BlockRef::new(1, b)), &[BlockRef::new(0, 0)]);
+        }
+    }
+
+    #[test]
+    fn reader_layers_with_partially_dead_spans() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc_f32(64, "a");
+        let nodes = vec![
+            Arc::new(vec![trace(&span(a, 0, 32), &[])]),
+            Arc::new(vec![trace(&span(a, 16, 48), &[])]),
+            // Kills [8, 24) of both reader layers.
+            Arc::new(vec![trace(&[], &span(a, 8, 24))]),
+            // Inside the dead span of both layers: WAW only.
+            Arc::new(vec![trace(&[], &span(a, 10, 20))]),
+            // Overlaps both layers partly dead, partly live: WAR on both.
+            Arc::new(vec![trace(&[], &span(a, 20, 40))]),
+            // Reaches live words of node 0 only.
+            Arc::new(vec![trace(&[], &span(a, 0, 8))]),
+        ];
+        let g = assert_equivalent(&mem, &nodes);
+        let deps = |n| g.deps_of(BlockRef::new(n, 0)).to_vec();
+        assert_eq!(deps(2), [BlockRef::new(0, 0), BlockRef::new(1, 0)]);
+        assert_eq!(deps(3), [BlockRef::new(2, 0)]);
+        assert_eq!(deps(4), [BlockRef::new(0, 0), BlockRef::new(1, 0), BlockRef::new(2, 0)]);
+        assert_eq!(deps(5), [BlockRef::new(0, 0)]);
+    }
+
+    #[test]
+    fn touching_dead_spans_merge() {
+        // Two overwrites leave dead spans [0, 8) and [8, 16) that touch end
+        // to end; a third write over [4, 12) straddles the seam and must
+        // still find its overlap dead — no WAR edge to the reader.
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc_f32(32, "a");
+        let nodes = vec![
+            Arc::new(vec![trace(&span(a, 0, 32), &[])]),
+            Arc::new(vec![trace(&[], &span(a, 0, 8))]),
+            Arc::new(vec![trace(&[], &span(a, 8, 16))]),
+            Arc::new(vec![trace(&[], &span(a, 4, 12))]),
+        ];
+        let g = assert_equivalent(&mem, &nodes);
+        assert_eq!(g.deps_of(BlockRef::new(3, 0)), &[BlockRef::new(1, 0), BlockRef::new(2, 0)]);
+    }
+
+    #[test]
+    fn write_exactly_covering_a_dead_span_has_no_war() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc_f32(32, "a");
+        let nodes = vec![
+            Arc::new(vec![trace(&span(a, 0, 32), &[])]),
+            Arc::new(vec![trace(&[], &span(a, 8, 16))]),
+            Arc::new(vec![trace(&[], &span(a, 8, 16))]),
+            // One word past the dead span reaches the live reader again.
+            Arc::new(vec![trace(&[], &span(a, 8, 17))]),
+        ];
+        let g = assert_equivalent(&mem, &nodes);
+        assert_eq!(g.deps_of(BlockRef::new(2, 0)), &[BlockRef::new(1, 0)]);
+        assert_eq!(g.deps_of(BlockRef::new(3, 0)), &[BlockRef::new(0, 0), BlockRef::new(2, 0)]);
+    }
+
+    /// Randomized run-shaped hazard sweep: blocks read and write contiguous
+    /// row ranges (with halos) instead of scattered words, so reader runs
+    /// overlap across blocks, long reads span several write runs, several
+    /// reader layers stack up with partially dead spans, and dead spans
+    /// touch, nest and repeat exactly.
+    #[test]
+    fn randomized_run_hazard_equivalence() {
+        use gpu_sim::SplitMix64;
+        for seed in 0..96u64 {
+            let mut rng = SplitMix64::new(seed ^ 0x5eed_7a11);
+            let mut mem = DeviceMemory::new();
+            let bufs: Vec<Buffer> = (0..rng.gen_range_u64(1, 3))
+                .map(|i| mem.alloc_f32(rng.gen_range_u64(16, 96), &format!("b{i}")))
+                .collect();
+            let mut nodes: Vec<Arc<Vec<BlockTrace>>> = Vec::new();
+            for _ in 0..rng.gen_range_u64(3, 10) {
+                if !nodes.is_empty() && rng.gen_range_u64(0, 5) == 0 {
+                    let i = rng.gen_range_u64(0, nodes.len() as u64) as usize;
+                    nodes.push(Arc::clone(&nodes[i]));
+                    continue;
+                }
+                let blocks = rng.gen_range_u64(1, 5);
+                let traces: Vec<BlockTrace> = (0..blocks)
+                    .map(|blk| {
+                        let mut reads: Vec<(Buffer, u64)> = Vec::new();
+                        let mut writes: Vec<(Buffer, u64)> = Vec::new();
+                        for &b in &bufs {
+                            let n = b.len / 4;
+                            let rows = n / blocks;
+                            let (lo, hi) =
+                                (blk * rows, if blk + 1 == blocks { n } else { (blk + 1) * rows });
+                            match rng.gen_range_u64(0, 4) {
+                                0 => {}
+                                // Own rows plus a halo into the neighbours.
+                                1 => {
+                                    let h = rng.gen_range_u64(0, 4);
+                                    reads.extend(span(b, lo.saturating_sub(h), (hi + h).min(n)));
+                                }
+                                // One long run over most of the buffer.
+                                2 => reads.extend(span(b, rng.gen_range_u64(0, 4), n)),
+                                _ => {
+                                    let s = rng.gen_range_u64(0, n);
+                                    reads.extend(span(b, s, rng.gen_range_u64(s + 1, n + 1)));
+                                }
+                            }
+                            match rng.gen_range_u64(0, 5) {
+                                0 | 1 => {}
+                                2 => writes.extend(span(b, lo, hi)),
+                                // Short aligned runs: repeated, touching
+                                // or nested spans across nodes.
+                                3 => {
+                                    let s = 4 * rng.gen_range_u64(0, n / 4);
+                                    writes.extend(span(
+                                        b,
+                                        s,
+                                        (s + 4 * rng.gen_range_u64(1, 3)).min(n),
+                                    ));
+                                }
+                                _ => {
+                                    let s = rng.gen_range_u64(0, n);
+                                    writes.extend(span(b, s, rng.gen_range_u64(s + 1, n + 1)));
+                                }
+                            }
+                        }
+                        trace(&reads, &writes)
+                    })
+                    .collect();
+                nodes.push(Arc::new(traces));
+            }
+            assert_equivalent(&mem, &nodes);
+        }
+    }
+
+    #[test]
+    fn union_runs_merges_overlapping_and_touching_runs() {
+        let mut runs = vec![(0, 4), (10, 12), (20, 30)];
+        let mut scratch = Vec::new();
+        union_runs(&mut runs, &[(4, 6), (11, 15), (40, 41)], &mut scratch);
+        assert_eq!(runs, vec![(0, 6), (10, 15), (20, 30), (40, 41)]);
+        union_runs(&mut runs, &[(6, 10), (15, 20)], &mut scratch);
+        assert_eq!(runs, vec![(0, 30), (40, 41)]);
+        union_runs(&mut runs, &[], &mut scratch);
+        assert_eq!(runs, vec![(0, 30), (40, 41)]);
+    }
+
+    #[test]
+    fn covers_needs_a_single_run() {
+        let runs = [(0, 8), (10, 20)];
+        assert!(covers(&runs, 10, 20));
+        assert!(covers(&runs, 2, 8));
+        assert!(!covers(&runs, 6, 12));
+        assert!(!covers(&runs, 8, 10));
+        assert!(!covers(&[], 0, 1));
     }
 
     #[test]

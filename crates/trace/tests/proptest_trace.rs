@@ -4,10 +4,7 @@
 
 use gpu_sim::{DeviceMemory, SplitMix64};
 use std::collections::{HashMap, HashSet};
-use trace::{
-    build_dep_graph, AccessKind, BlockRef, BlockTrace, DepGraphBuilder, ExecCtx, FootprintSet,
-    TraceRecorder,
-};
+use trace::{AccessKind, BlockRef, DepGraphBuilder, ExecCtx, FootprintSet, TraceRecorder};
 
 /// Coalescing never produces more transactions than raw accesses and
 /// covers exactly the touched lines.
@@ -233,56 +230,6 @@ fn csr_matches_naive_adjacency_on_random_trace() {
         // blocks_of_node observed every visited block.
         for node in 0..num_nodes {
             assert_eq!(g.blocks_of_node(node), blocks_per_node, "seed {seed}");
-        }
-    }
-}
-
-/// The sharded parallel dependency builder produces a CSR graph equal to
-/// the serial `DepGraphBuilder` on randomized multi-node traces, for
-/// every thread count (the tentpole determinism property). Equality of the
-/// `BlockDepGraph` structs is field-by-field equality of all six flat
-/// arrays — byte-identical CSR layout, not just equivalent adjacency.
-#[test]
-fn parallel_dep_graph_is_identical_to_serial() {
-    for seed in 0..24u64 {
-        let mut rng = SplitMix64::new(seed);
-        let num_nodes = rng.gen_range_u32(2, 7);
-        let blocks_per_node = rng.gen_range_u32(1, 6);
-        let words = 128u64;
-
-        let mut mem = DeviceMemory::new();
-        let buf = mem.alloc_f32(words, "b");
-        let mut rec = TraceRecorder::new(128);
-
-        let mut visits_owned: Vec<(BlockRef, BlockTrace)> = Vec::new();
-        for node in 0..num_nodes {
-            for block in 0..blocks_per_node {
-                let nr = rng.gen_range_usize(1, 12);
-                let reads = rng.vec_u64(nr, 0, words);
-                let nw = rng.gen_range_usize(1, 12);
-                let wr = rng.vec_u64(nw, 0, words);
-                rec.begin_block(1);
-                for &w in &reads {
-                    rec.record(0, buf.f32_addr(w), 4, AccessKind::Load);
-                }
-                for &w in &wr {
-                    rec.record(0, buf.f32_addr(w), 4, AccessKind::Store);
-                }
-                visits_owned.push((BlockRef::new(node, block), rec.finish_block()));
-            }
-        }
-
-        let mut builder = DepGraphBuilder::new();
-        for (r, t) in &visits_owned {
-            builder.visit_block(*r, t);
-        }
-        let serial = builder.finish();
-
-        let visits: Vec<(BlockRef, &BlockTrace)> =
-            visits_owned.iter().map(|(r, t)| (*r, t)).collect();
-        for threads in [1usize, 2, 3, 5, 16] {
-            let parallel = build_dep_graph(&visits, threads);
-            assert_eq!(parallel, serial, "seed {seed}, threads {threads}");
         }
     }
 }

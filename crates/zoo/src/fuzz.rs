@@ -460,7 +460,7 @@ pub fn run_case(seed: u64) -> Result<CaseStats, Divergence> {
     let cfg = GpuConfig::gtx960m();
     let lb = cfg.cache.line_bytes;
     // Pipeline knobs also derive from the seed: worker counts exercise
-    // the sharded analyzer paths, thresholds vary merge aggressiveness,
+    // the parallel trace-coalescing paths, thresholds vary merge aggressiveness,
     // and shrunken cache capacities force real tile splits (at the true
     // 2 MiB L2 these small workloads would never overflow a window, and
     // the interleaved sub-launch paths would go untested).

@@ -98,12 +98,15 @@ cargo run --release -p bench --bin fuzz_dags "${OFFLINE[@]}" -- --seed0 0 --coun
 
 echo "== bench_scheduler smoke test =="
 # One-sample run on a small workload: the JSON must carry the phase
-# timings, both determinism cross-checks must pass (parallel sharded
-# analyzer == serial builder; schedule hash identical on both paths), and
-# the fast analyzer must match the full-trace reference while beating it
-# by at least 5x. 192²/10-iter is the smallest scale where structural
+# timings, both determinism cross-checks must pass (structural analyzer
+# graph == serial word builder's; schedule hash identical on both paths),
+# and the fast analyzer must match the full-trace reference while beating
+# it by at least 5x. 192²/10-iter is the smallest scale where structural
 # reuse dominates the fixed per-run costs enough for that margin to be
-# stable; the committed 512² results show ~25x.
+# stable; results/BENCH_scheduler.json records the 512² ratio. The ratio
+# alone misses a slowdown of both paths, so the fast analyzer's own
+# analyze_ms is also gated against the committed smoke run
+# (results/BENCH_scheduler_smoke.json, same scale and flags).
 SMOKE_JSON=$(mktemp /tmp/bench_scheduler_smoke.XXXXXX.json)
 ZOO_JSON=$(mktemp /tmp/bench_zoo_smoke.XXXXXX.json)
 SVC_DIR=$(mktemp -d /tmp/ktiler_svc_smoke.XXXXXX)
@@ -129,6 +132,14 @@ done
 SPEEDUP=$(awk -F': ' '/"analyze_speedup"/ { gsub(/,/, "", $2); print $2 }' "$SMOKE_JSON")
 if ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 5) }'; then
     echo "error: fast-analyzer speedup regressed: analyze_speedup = ${SPEEDUP:-missing} (< 5)" >&2
+    exit 1
+fi
+analyze_ms() { awk -F': ' '/"analyze_ms"/ { gsub(/,/, "", $2); print $2; exit }' "$1"; }
+SMOKE_MS=$(analyze_ms "$SMOKE_JSON")
+BASE_MS=$(analyze_ms results/BENCH_scheduler_smoke.json)
+if ! awk -v s="$SMOKE_MS" -v b="$BASE_MS" 'BEGIN { exit !(s > 0 && b > 0 && s <= 1.5 * b) }'; then
+    echo "error: fast-analyzer analyze_ms = ${SMOKE_MS:-missing} exceeds 1.5x the committed" \
+         "smoke baseline (${BASE_MS:-missing} ms, results/BENCH_scheduler_smoke.json)" >&2
     exit 1
 fi
 
