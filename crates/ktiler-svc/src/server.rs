@@ -17,9 +17,18 @@
 //! loop — the service's worker pool computes them while the loop keeps
 //! sweeping — and responses are delivered strictly in request order per
 //! connection. With no `poll(2)` available (std-only, `forbid(unsafe)`),
-//! readiness is discovered by the sweep itself; an idle pass sleeps
-//! briefly so a quiet server costs near-zero CPU, and any progress keeps
-//! the loop hot.
+//! socket readiness is discovered by the sweep itself, and a sweep that
+//! finds nothing to do parks the loop thread. Two things end the park:
+//!
+//! * **A finished ticket wakes the loop.** Polling a pending ticket
+//!   registers the loop thread under the ticket's lock; the computing
+//!   thread fulfils under the same lock and unparks whoever registered,
+//!   so a response is written as soon as it lands, never a sleep later.
+//! * **Socket bytes are found by backing off.** The first park after a
+//!   sweep that made progress lasts 50 µs and each idle sweep doubles it,
+//!   up to 1 ms ([`ServerTuning::read_poll`] caps it further): bytes that
+//!   follow activity are picked up within ~0.1 ms, and a quiet server
+//!   settles at ≤1 kHz sweeps and near-zero CPU.
 //!
 //! **Misbehaving peers.** The loop distinguishes an *idle* connection (no
 //! bytes of a frame received — allowed to sit quietly forever) from a
@@ -50,20 +59,32 @@ use crate::proto::{
     read_frame, write_frame, DecodeEvent, FrameDecoder, Request, Response, MAX_CONTROL_FRAME,
     PROTO_VERSION,
 };
-use crate::service::{Service, SvcError, Ticket};
+use crate::service::{Mailbox, Service, SvcError, Ticket};
 
-/// Longest sleep of an idle sweep. Kept small — it bounds the latency a
-/// freshly arrived byte can see — and capped further by the tuning's
-/// `read_poll` so tests that shrink timeouts also shrink the sweep.
+/// Longest park of an idle sweep, reached after a run of idle sweeps.
+/// Kept small — it bounds the latency a byte arriving at a quiet server
+/// can see (a finished ticket unparks the loop at once) — and capped
+/// further by the tuning's `read_poll` so tests that shrink timeouts also
+/// shrink the sweep.
 const IDLE_SLEEP_CAP: Duration = Duration::from_millis(1);
+
+/// First park after a sweep that made progress. Each further idle sweep
+/// doubles the park up to [`IDLE_SLEEP_CAP`], so bytes that follow
+/// activity closely (the next request on a busy connection, a node's
+/// reply to a gateway) are picked up within ~0.1 ms, while a server that
+/// stays quiet settles at the cap.
+const FIRST_NAP: Duration = Duration::from_micros(50);
 
 /// Socket-level knobs of the TCP front-end. [`ServerTuning::default`] is
 /// right for production; tests shrink the timeouts to fail fast.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerTuning {
-    /// Upper bound on the idle sweep's sleep (historically the blocking
+    /// Upper bound on the idle sweep's park (historically the blocking
     /// read timeout; the event loop keeps the name so callers and flags
-    /// are unchanged). Smaller means lower idle latency, more idle CPU.
+    /// are unchanged). Idle parks start at 50 µs after any progress and
+    /// double per idle sweep up to the smaller of this and 1 ms; a
+    /// finished ticket ends a park early. Smaller means lower latency for
+    /// bytes reaching a quiet server, more idle CPU.
     pub read_poll: Duration,
     /// How long unflushed response bytes may sit without progress before
     /// the connection is dropped — a client that stops reading cannot pin
@@ -103,7 +124,7 @@ pub enum Dispatch {
 /// A poll-able slot for a raw [`Response`] computed off-loop — the untyped
 /// sibling of [`Ticket`].
 pub struct ResponseTicket {
-    cell: Arc<Mutex<Option<Response>>>,
+    cell: Arc<Mutex<Mailbox<Response>>>,
 }
 
 /// The fulfilling half of a [`ResponseTicket::pair`]. Dropping an
@@ -111,19 +132,21 @@ pub struct ResponseTicket {
 /// fulfills the ticket with a structured error — the waiting connection is
 /// always answered, never left hung.
 pub struct ResponseSink {
-    cell: Arc<Mutex<Option<Response>>>,
+    cell: Arc<Mutex<Mailbox<Response>>>,
 }
 
 impl ResponseTicket {
     /// An unfulfilled ticket and the sink that fulfills it.
     pub fn pair() -> (ResponseTicket, ResponseSink) {
-        let cell = Arc::new(Mutex::new(None));
+        let cell = Arc::new(Mutex::new(Mailbox::new()));
         (ResponseTicket { cell: Arc::clone(&cell) }, ResponseSink { cell })
     }
 
-    /// Takes the response if one landed; `None` means still in flight.
+    /// Takes the response if one landed; `None` means still in flight,
+    /// and the calling thread is unparked when it lands (the same wake-up
+    /// rule as [`Ticket::try_take`]).
     pub fn try_take(&mut self) -> Option<Response> {
-        fault::lock(&self.cell).take()
+        fault::lock(&self.cell).take_or_register()
     }
 }
 
@@ -131,9 +154,9 @@ impl ResponseSink {
     /// Fulfills the paired ticket. First fulfillment wins; later calls
     /// (including the drop guard) are ignored.
     pub fn fulfill(&self, r: Response) {
-        let mut cell = fault::lock(&self.cell);
-        if cell.is_none() {
-            *cell = Some(r);
+        let waker = fault::lock(&self.cell).fill(r);
+        if let Some(t) = waker {
+            t.unpark();
         }
     }
 }
@@ -413,6 +436,8 @@ impl<F: FrontEnd> EventLoop<F> {
 
     fn run(mut self) {
         let idle_sleep = self.tuning.read_poll.min(IDLE_SLEEP_CAP);
+        let first_nap = FIRST_NAP.min(idle_sleep);
+        let mut nap = first_nap;
         let mut buf = [0u8; 8192];
         loop {
             let stopping = self.stop.load(Ordering::SeqCst);
@@ -441,8 +466,13 @@ impl<F: FrontEnd> EventLoop<F> {
             if stopping && self.conns.is_empty() {
                 return;
             }
-            if !progress {
-                std::thread::sleep(idle_sleep);
+            if progress {
+                nap = first_nap;
+            } else {
+                // Pending tickets registered this thread while being
+                // polled; a fulfilment unparks it before the nap ends.
+                std::thread::park_timeout(nap);
+                nap = (nap * 2).min(idle_sleep);
             }
         }
     }

@@ -33,12 +33,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use gpu_sim::{FreqConfig, GpuConfig};
 use hsoptflow::{build_app, synthetic_pair, HsParams, OptFlowApp};
-use kgraph::GraphTrace;
+use kgraph::{AppGraph, GraphTrace};
 use ktiler::{
     calibrate, ktiler_schedule, schedule_from_text, schedule_to_text, verify_schedule,
     CalibrationConfig, KtilerConfig, Schedule, TileParams,
@@ -364,8 +364,9 @@ pub struct ServiceConfig {
     /// Queue capacity; a submit beyond it sheds.
     pub queue_capacity: usize,
     /// Entries kept in the in-memory workload memo (analyzed + calibrated
-    /// workloads). The memo is cleared wholesale when full — crude, but
-    /// bounded, and the on-disk schedule cache carries the durable state.
+    /// workloads). When full, the least recently used entry is evicted, so
+    /// a stream of one-off workloads cannot push out the warm ones; the
+    /// on-disk schedule cache carries the durable state.
     pub memo_capacity: usize,
     /// Device model used for analysis, calibration and verification.
     pub gpu: GpuConfig,
@@ -410,37 +411,108 @@ impl ServiceConfig {
 }
 
 /// An analyzed + calibrated workload, shared read-only between workers.
+/// Of the built application only the graph is kept: its device memory is
+/// read by the analysis alone, and the memo holds many of these.
 struct Prepared {
-    app: OptFlowApp,
+    graph: AppGraph,
     gt: GraphTrace,
     cal: ktiler::Calibration,
     kcfg: KtilerConfig,
     key: CacheKey,
 }
 
+/// A result on its way from a computing thread to a poller, plus the
+/// poller to wake when it lands. Both sit under one lock: a fulfilment
+/// either finds the waker a poll just registered or happens before that
+/// poll, which then sees the result — no wake-up can be lost.
+pub(crate) struct Mailbox<T> {
+    value: Option<T>,
+    waker: Option<Thread>,
+}
+
+impl<T> Mailbox<T> {
+    pub(crate) const fn new() -> Self {
+        Mailbox { value: None, waker: None }
+    }
+
+    /// Takes the value, or registers the calling thread to be unparked
+    /// when it lands.
+    pub(crate) fn take_or_register(&mut self) -> Option<T> {
+        let v = self.value.take();
+        if v.is_none() {
+            self.waker = Some(std::thread::current());
+        }
+        v
+    }
+
+    /// Stores `v` unless a value is already waiting (first fulfilment
+    /// wins) and hands back the registered poller. The caller unparks it
+    /// after releasing the lock, so the woken thread never blocks on it.
+    pub(crate) fn fill(&mut self, v: T) -> Option<Thread> {
+        if self.value.is_some() {
+            return None;
+        }
+        self.value = Some(v);
+        self.waker.take()
+    }
+}
+
+/// The workload memo: flight key → prepared workload, each stamped with
+/// the tick of its last use so a full memo evicts the least recently used
+/// entry. A linear scan finds it; the memo holds a handful of entries.
+#[derive(Default)]
+struct Memo {
+    entries: HashMap<CacheKey, (Arc<Prepared>, u64)>,
+    tick: u64,
+}
+
+impl Memo {
+    fn get(&mut self, fk: &CacheKey) -> Option<Arc<Prepared>> {
+        self.tick += 1;
+        let (p, used) = self.entries.get_mut(fk)?;
+        *used = self.tick;
+        Some(Arc::clone(p))
+    }
+
+    fn insert(&mut self, fk: CacheKey, p: Arc<Prepared>, capacity: usize) {
+        if self.entries.len() >= capacity && !self.entries.contains_key(&fk) {
+            let lru = self.entries.iter().min_by_key(|(_, (_, used))| *used).map(|(k, _)| *k);
+            if let Some(k) = lru {
+                self.entries.remove(&k);
+            }
+        }
+        self.tick += 1;
+        self.entries.insert(fk, (p, self.tick));
+    }
+}
+
 /// One waiter's slot for a response.
 struct Cell {
-    state: Mutex<Option<Result<ScheduleResponse, SvcError>>>,
+    state: Mutex<Mailbox<Result<ScheduleResponse, SvcError>>>,
     cv: Condvar,
 }
 
 impl Cell {
     fn new() -> Arc<Self> {
-        Arc::new(Cell { state: Mutex::new(None), cv: Condvar::new() })
+        Arc::new(Cell { state: Mutex::new(Mailbox::new()), cv: Condvar::new() })
     }
 
     fn fulfill(&self, r: Result<ScheduleResponse, SvcError>) {
-        let mut st = fault::lock(&self.state);
-        if st.is_none() {
-            *st = Some(r);
+        let waker = {
+            let mut st = fault::lock(&self.state);
+            let waker = st.fill(r);
             self.cv.notify_all();
+            waker
+        };
+        if let Some(t) = waker {
+            t.unpark();
         }
     }
 
     fn wait(&self, deadline: Option<Instant>) -> Result<ScheduleResponse, SvcError> {
         let mut st = fault::lock(&self.state);
         loop {
-            if let Some(r) = st.take() {
+            if let Some(r) = st.value.take() {
                 return r;
             }
             match deadline {
@@ -480,16 +552,16 @@ impl Ticket {
         (Ticket { cell: Arc::clone(&cell), deadline }, TicketSink { cell })
     }
 
-    /// Takes the response if one is ready; `None` means still in flight.
+    /// Takes the response if one is ready; `None` means still in flight,
+    /// and the calling thread is then unparked
+    /// ([`std::thread::Thread::unpark`]) when the response lands, so a
+    /// poller can `park` between polls instead of sleeping a fixed time.
     /// Past the ticket's deadline an unfulfilled ticket yields
     /// [`SvcError::DeadlineExceeded`] — the poller never waits forever on
     /// work that can no longer matter.
     pub fn try_take(&mut self) -> Option<Result<ScheduleResponse, SvcError>> {
-        {
-            let mut st = fault::lock(&self.cell.state);
-            if let Some(r) = st.take() {
-                return Some(r);
-            }
+        if let Some(r) = fault::lock(&self.cell.state).take_or_register() {
+            return Some(r);
         }
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
             return Some(Err(SvcError::DeadlineExceeded));
@@ -540,8 +612,8 @@ struct Inner {
     sync_cv: Condvar,
     /// Single-flight table: flight key → followers waiting on the leader.
     inflight: Mutex<HashMap<CacheKey, Vec<Arc<Cell>>>>,
-    /// Workload memo: flight key → prepared workload.
-    memo: Mutex<HashMap<CacheKey, Arc<Prepared>>>,
+    /// Workload memo: flight key → prepared workload, LRU-bounded.
+    memo: Mutex<Memo>,
     /// Worker threads currently running their loop; decremented on any
     /// exit, including a panic unwind.
     live_workers: AtomicUsize,
@@ -591,7 +663,7 @@ impl Service {
             queue_cv: Condvar::new(),
             sync_cv: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
-            memo: Mutex::new(HashMap::new()),
+            memo: Mutex::new(Memo::default()),
             live_workers: AtomicUsize::new(0),
         });
         let mut handles = Vec::with_capacity(workers);
@@ -975,7 +1047,7 @@ impl Inner {
     /// Memo lookup or analyze + calibrate.
     fn prepare(&self, req: &ScheduleRequest, fk: CacheKey) -> Result<Arc<Prepared>, SvcError> {
         if let Some(p) = fault::lock(&self.memo).get(&fk) {
-            return Ok(Arc::clone(p));
+            return Ok(p);
         }
         self.faults
             .fire_io(points::FRAME_IO)
@@ -1004,12 +1076,8 @@ impl Inner {
         };
         let key = schedule_cache_key(&app.graph, &gt, &gpu.cache, &cal, &kcfg);
         bump(&self.metrics.analysis_runs);
-        let prepared = Arc::new(Prepared { app, gt, cal, kcfg, key });
-        let mut memo = fault::lock(&self.memo);
-        if memo.len() >= self.cfg.memo_capacity {
-            memo.clear();
-        }
-        memo.insert(fk, Arc::clone(&prepared));
+        let prepared = Arc::new(Prepared { graph: app.graph, gt, cal, kcfg, key });
+        fault::lock(&self.memo).insert(fk, Arc::clone(&prepared), self.cfg.memo_capacity);
         Ok(prepared)
     }
 
@@ -1023,7 +1091,7 @@ impl Inner {
             // An injected load failure degrades to a recompute, exactly
             // like a real unreadable artifact.
             Err(e) => CacheProbe::Invalid(format!("injected load failure: {e}")),
-            Ok(()) => self.cache.probe(&p.key, &p.app.graph, &p.gt, &p.kcfg.tile),
+            Ok(()) => self.cache.probe(&p.key, &p.graph, &p.gt, &p.kcfg.tile),
         };
         self.metrics.cache_load_latency.record(t_load.elapsed());
         let outcome = match probe {
@@ -1059,10 +1127,10 @@ impl Inner {
         self.faults
             .fire_io(points::PIPELINE_SCHEDULE)
             .map_err(|e| SvcError::Pipeline(format!("tiling failed: {e}")))?;
-        let out = ktiler_schedule(&p.app.graph, &p.gt, &p.cal, &p.kcfg)
+        let out = ktiler_schedule(&p.graph, &p.gt, &p.cal, &p.kcfg)
             .map_err(|e| SvcError::Pipeline(format!("tiling failed: {e}")))?;
         out.schedule
-            .validate(&p.app.graph, &p.gt.deps)
+            .validate(&p.graph, &p.gt.deps)
             .map_err(|e| SvcError::Pipeline(format!("emitted schedule invalid: {e}")))?;
         bump(&self.metrics.pipeline_runs);
         self.metrics.tile_latency.record(t_tile.elapsed());
@@ -1105,7 +1173,7 @@ impl Inner {
                 bump(&self.metrics.peer_fetch_failures);
                 continue;
             };
-            let report = verify_schedule(&schedule, &p.app.graph, &p.gt, &p.kcfg.tile);
+            let report = verify_schedule(&schedule, &p.graph, &p.gt, &p.kcfg.tile);
             if !report.is_clean() {
                 bump(&self.metrics.peer_fetch_failures);
                 continue;

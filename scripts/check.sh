@@ -80,6 +80,20 @@ echo "== analyzer equivalence (paper-scale, release) =="
 # workload the acceptance bar names, for serial and multi-threaded builds.
 cargo test --release -p bench --test analyzer_equivalence "${OFFLINE[@]}" -- --ignored
 
+echo "== event-loop round trip gate (release) =="
+# The median PING round trip on one connection to an in-process server
+# must stay under 500 µs: a finished ticket unparks the loop and idle
+# parks back off from 50 µs, where a fixed 1 ms idle sleep measured
+# ~1.1 ms. Timing-sensitive, so it runs here on its own, never alongside
+# the parallel suite.
+cargo test --release -p ktiler-svc --test service "${OFFLINE[@]}" -- --ignored
+
+echo "== perfbench self-test (release) =="
+# The benchmark's own tests start and stop the real node and gateway
+# binaries, check every workload's metrics and correctness flag, and
+# check that every child process is reaped, including after a panic.
+cargo test --release --manifest-path perfbench/Cargo.toml "${OFFLINE[@]}"
+
 echo "== fuzz corpus regression suite (release) =="
 # Every seed in crates/ktiler/tests/fuzz_corpus/ once exposed a real
 # scheduler bug (missing WAR/WAW hazard edges; atomic-node pessimism
