@@ -20,19 +20,23 @@
 //! 1. **Reference** — every distinct request is computed by an
 //!    in-process single-node [`Service`]; its schedule text is the
 //!    byte-identical truth every multi-node response is compared against.
-//! 2. **Warmup** — each hot key is requested `hot_threshold` times
-//!    through the gateway, so its artifact is cached on its owner and
-//!    (via hot-key replication) pushed to the replica owners.
+//! 2. **Warmup** — each hot key is requested once through the gateway,
+//!    so its artifact is cached on its owner; then every node is sent
+//!    `SYNC`, and since the nodes peer each other, one anti-entropy round
+//!    copies every hot artifact to every node.
 //! 3. **Measurement** — all connections are opened, every request is
-//!    written, and a single-threaded readiness loop (mirroring the
-//!    server's own event loop) drives writes and reads until every
-//!    response has landed; latency is measured per request. Halfway
-//!    through, `--no-kill` absent, the node owning hot key 0 is killed:
-//!    in-flight and subsequent requests for its keys must fail over with
-//!    zero client-visible errors and byte-identical answers.
+//!    written at one instant `t0` (a closed burst), and a single-threaded
+//!    readiness loop (mirroring the server's own event loop) drives
+//!    writes and reads until every response has landed. Each request's
+//!    latency runs from `t0` to its response, so it includes its wait
+//!    behind the rest of the burst. Halfway through, `--no-kill` absent,
+//!    the node owning hot key 0 is killed: in-flight and subsequent
+//!    requests for its keys must fail over with zero client-visible
+//!    errors and byte-identical answers.
 //! 4. **Verdict** — responses are checked against the reference, the
 //!    warm-key hit rate (hits + peer fills, no recompute) is computed,
-//!    and the JSON report is written.
+//!    the exact per-request latencies are sorted into nearest-rank
+//!    p50/p99/p99.9, and the JSON report is written.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -42,13 +46,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant, SystemTime};
 
 use ktiler_gateway::HashRing;
-use ktiler_svc::metrics::LatencyHistogram;
 use ktiler_svc::proto::{write_frame, DecodeEvent, FrameDecoder, Request, Response};
 use ktiler_svc::{NetClient, Outcome, ScheduleRequest, Service, ServiceConfig, WorkloadSpec};
-
-/// How many requests per hot key the warmup issues — must match the
-/// gateway's hot threshold so replication fires during warmup.
-const HOT_THRESHOLD: u32 = 8;
 
 const RING_VNODES: usize = 64;
 const RING_SEED: u64 = 0;
@@ -199,16 +198,12 @@ fn spawn_gateway(addr: &str, nodes: &[String], queue: usize, log: &Path) -> Chil
         .arg(RING_VNODES.to_string())
         .arg("--seed")
         .arg(RING_SEED.to_string())
-        .arg("--hot-threshold")
-        .arg(HOT_THRESHOLD.to_string())
         .arg("--forwarders")
         .arg("8")
         .arg("--queue")
         .arg(queue.to_string())
         .arg("--node-timeout-ms")
-        .arg("60000")
-        .arg("--dead-cooldown-ms")
-        .arg("500");
+        .arg("60000");
     for n in nodes {
         cmd.arg("--node").arg(n);
     }
@@ -253,8 +248,9 @@ struct ClientConn {
 }
 
 /// Sweeps every open connection once: flush pending writes, read what is
-/// available, decode. Returns how many connections finished this sweep.
-fn sweep(conns: &mut [ClientConn], hist: &LatencyHistogram) -> usize {
+/// available, decode, and push each answered request's latency (µs) onto
+/// `latencies_us`. Returns how many connections finished this sweep.
+fn sweep(conns: &mut [ClientConn], latencies_us: &mut Vec<u64>) -> usize {
     let mut finished = 0;
     let mut buf = [0u8; 4096];
     let mut events = Vec::new();
@@ -295,7 +291,7 @@ fn sweep(conns: &mut [ClientConn], hist: &LatencyHistogram) -> usize {
                     }
                     if let Some(ev) = events.pop() {
                         c.outcome = Some(decode_response(&ev));
-                        hist.record(c.sent_at.elapsed());
+                        latencies_us.push(c.sent_at.elapsed().as_micros() as u64);
                         break;
                     }
                 }
@@ -312,6 +308,16 @@ fn sweep(conns: &mut [ClientConn], hist: &LatencyHistogram) -> usize {
         }
     }
     finished
+}
+
+/// Nearest-rank quantile of ascending `sorted`: the smallest sample with
+/// at least a `q` share of all samples at or below it (0 when empty).
+fn nearest_rank(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 fn decode_response(ev: &DecodeEvent) -> Result<(Outcome, String), String> {
@@ -387,22 +393,28 @@ fn main() {
     wait_ready(&gw_addr, Duration::from_secs(30));
     eprintln!("[bench_svc] {} node(s) + gateway {gw_addr} up", cfg.nodes);
 
-    // Phase 2: warm the hot keys through the gateway — enough times each
-    // to cross the replication threshold.
+    // Phase 2: warm each hot key on its owner through the gateway, then
+    // let one anti-entropy round per node copy the artifacts to every
+    // other node.
     let t_warm = Instant::now();
     {
         let mut c = NetClient::connect(&gw_addr).unwrap_or_else(|e| fatal(&format!("warmup: {e}")));
         for (i, req) in specs.iter().take(cfg.hot_keys).enumerate() {
-            for _ in 0..HOT_THRESHOLD {
-                match c.request(&Request::Schedule(req.clone())) {
-                    Ok(Response::Schedule(r)) => {
-                        if r.text != reference[i] {
-                            fatal(&format!("warmup response for hot key {i} != reference"));
-                        }
+            match c.request(&Request::Schedule(req.clone())) {
+                Ok(Response::Schedule(r)) => {
+                    if r.text != reference[i] {
+                        fatal(&format!("warmup response for hot key {i} != reference"));
                     }
-                    other => fatal(&format!("warmup hot key {i}: {other:?}")),
                 }
+                other => fatal(&format!("warmup hot key {i}: {other:?}")),
             }
+        }
+    }
+    for addr in &node_addrs {
+        let mut c = NetClient::connect(addr).unwrap_or_else(|e| fatal(&format!("sync: {e}")));
+        match c.request(&Request::Sync) {
+            Ok(Response::Synced { failed: 0, .. }) => {}
+            other => fatal(&format!("SYNC on {addr}: {other:?}")),
         }
     }
     eprintln!("[bench_svc] warmup done in {:.1}s", t_warm.elapsed().as_secs_f64());
@@ -452,7 +464,7 @@ fn main() {
     }
     eprintln!("[bench_svc] {} connections open, driving requests", conns.len());
 
-    let hist = LatencyHistogram::default();
+    let mut latencies_us = Vec::with_capacity(cfg.conns);
     let t0 = Instant::now();
     for c in conns.iter_mut() {
         c.sent_at = t0;
@@ -461,7 +473,7 @@ fn main() {
     let mut killed = false;
     let kill_at = cfg.conns / 2;
     while done < cfg.conns {
-        let finished = sweep(&mut conns, &hist);
+        let finished = sweep(&mut conns, &mut latencies_us);
         done += finished;
         if cfg.kill && !killed && done >= kill_at {
             if let Some(child) = children[victim].1.as_mut() {
@@ -483,6 +495,7 @@ fn main() {
         }
     }
     let wall = t0.elapsed();
+    latencies_us.sort_unstable();
     eprintln!("[bench_svc] {} responses in {:.1}s", cfg.conns, wall.as_secs_f64());
 
     // Phase 4: verdict.
@@ -547,9 +560,9 @@ fn main() {
         killed,
         wall.as_millis(),
         cfg.conns as f64 / wall.as_secs_f64(),
-        hist.quantile_us(0.50),
-        hist.quantile_us(0.99),
-        hist.quantile_us(0.999),
+        nearest_rank(&latencies_us, 0.50),
+        nearest_rank(&latencies_us, 0.99),
+        nearest_rank(&latencies_us, 0.999),
         warm_hit_rate,
         outcomes_json.join(",\n"),
     );

@@ -9,32 +9,60 @@
 //! ```text
 //! ktiler_gateway --node HOST:PORT [--node HOST:PORT]...
 //!                [--addr HOST:PORT] [--replicas N] [--vnodes N]
-//!                [--seed N] [--hot-threshold N] [--forwarders N]
-//!                [--queue N] [--node-timeout-ms N]
-//!                [--dead-cooldown-ms N] [--fallback-cache-dir DIR]
+//!                [--seed N] [--forwarders N] [--queue N]
+//!                [--node-timeout-ms N] [--fallback-cache-dir DIR]
 //!                [--probe-interval-ms N] [--suspect-after N]
 //!                [--down-after N] [--port-file PATH] [--stats-out PATH]
 //! ```
 //!
 //! Defaults mirror [`ktiler_gateway::GatewayConfig::new`]: 2 owners per
-//! key, 64 virtual nodes, seed 0, hot threshold 8, 4 forwarders, a
-//! 16384-deep queue, a 10 s per-node timeout and a 1 s dead cooldown.
-//! `--fallback-cache-dir` arms the local-recompute fallback: when every
-//! owner of a key is unreachable the gateway computes the schedule itself
-//! (cached in the given directory) instead of erroring.
+//! key, 64 virtual nodes, seed 0, 4 forwarders, a 16384-deep queue and a
+//! 10 s per-node timeout. `--fallback-cache-dir` arms the local-recompute
+//! fallback: when every owner of a key is unreachable the gateway
+//! computes the schedule itself (cached in the given directory) instead
+//! of erroring. An unknown flag exits 2 with the usage text.
 //!
 //! The health prober `PING`s every node each `--probe-interval-ms`
-//! (default 500; 0 disables probing) and drives the per-node
-//! `Up → Suspect → Down` membership state shown in `STATS`;
+//! (default 500; must be positive) and, together with failed forwards,
+//! drives the per-node `Up → Suspect → Down` membership state shown in
+//! `STATS`; `Up` owners are tried before `Suspect` ones.
 //! `--suspect-after` / `--down-after` set the consecutive-failure
 //! thresholds. `DRAIN HOST:PORT` (see `ktiler_tool client drain`) marks a
-//! node for graceful restart.
+//! node for graceful restart. Replicas get their copies node to node
+//! (peer fill and anti-entropy, see `ktiler_serve`), never from the
+//! gateway.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use ktiler_gateway::{Gateway, GatewayConfig};
 use ktiler_svc::{serve_front, ServerTuning, ServiceConfig};
+
+/// Every flag `ktiler_gateway` accepts; each takes one value.
+const FLAGS: &[&str] = &[
+    "--node",
+    "--addr",
+    "--replicas",
+    "--vnodes",
+    "--seed",
+    "--forwarders",
+    "--queue",
+    "--node-timeout-ms",
+    "--fallback-cache-dir",
+    "--probe-interval-ms",
+    "--suspect-after",
+    "--down-after",
+    "--port-file",
+    "--stats-out",
+];
+
+/// Whether the command line is nothing but `--flag VALUE` pairs naming
+/// flags in [`FLAGS`], so a misspelled or retired flag is a usage error
+/// instead of a silently ignored setting.
+fn flags_are_known() -> bool {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args.chunks(2).all(|pair| matches!(pair, [flag, _] if FLAGS.contains(&flag.as_str())))
+}
 
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -49,10 +77,9 @@ fn arg_values(name: &str) -> Vec<String> {
 fn usage() -> ! {
     eprintln!(
         "usage: ktiler_gateway --node HOST:PORT [--node HOST:PORT]... [--addr HOST:PORT] \
-         [--replicas N] [--vnodes N] [--seed N] [--hot-threshold N] [--forwarders N] \
-         [--queue N] [--node-timeout-ms N] [--dead-cooldown-ms N] \
-         [--fallback-cache-dir DIR] [--probe-interval-ms N] [--suspect-after N] \
-         [--down-after N] [--port-file PATH] [--stats-out PATH]"
+         [--replicas N] [--vnodes N] [--seed N] [--forwarders N] [--queue N] \
+         [--node-timeout-ms N] [--fallback-cache-dir DIR] [--probe-interval-ms N>0] \
+         [--suspect-after N] [--down-after N] [--port-file PATH] [--stats-out PATH]"
     );
     std::process::exit(2);
 }
@@ -73,7 +100,7 @@ fn arg_millis(name: &str, default: Duration) -> Duration {
 
 fn main() {
     let nodes = arg_values("--node");
-    if nodes.is_empty() {
+    if nodes.is_empty() || !flags_are_known() {
         usage();
     }
     let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:0".into());
@@ -82,17 +109,15 @@ fn main() {
     cfg.replicas = arg_parse("--replicas", cfg.replicas);
     cfg.vnodes = arg_parse("--vnodes", cfg.vnodes);
     cfg.seed = arg_parse("--seed", cfg.seed);
-    cfg.hot_threshold = arg_parse("--hot-threshold", cfg.hot_threshold);
     cfg.forwarders = arg_parse("--forwarders", cfg.forwarders);
     cfg.queue_capacity = arg_parse("--queue", cfg.queue_capacity);
     cfg.node_timeout = arg_millis("--node-timeout-ms", cfg.node_timeout);
-    cfg.dead_cooldown = arg_millis("--dead-cooldown-ms", cfg.dead_cooldown);
     if let Some(dir) = arg_value("--fallback-cache-dir") {
         cfg.local_fallback = Some(ServiceConfig::new(&dir));
     }
-    if let Some(n) = arg_value("--probe-interval-ms") {
-        let ms: u64 = n.parse().unwrap_or_else(|_| usage());
-        cfg.probe_interval = (ms > 0).then(|| Duration::from_millis(ms));
+    cfg.probe_interval = arg_millis("--probe-interval-ms", cfg.probe_interval);
+    if cfg.probe_interval.is_zero() {
+        usage();
     }
     cfg.suspect_after = arg_parse("--suspect-after", cfg.suspect_after);
     cfg.down_after = arg_parse("--down-after", cfg.down_after);

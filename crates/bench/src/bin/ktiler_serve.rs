@@ -17,6 +17,7 @@
 //! printed to stdout and, with `--port-file`, written to a file for
 //! scripts), `--cache-dir .ktiler-cache`, 2 workers, a 64-deep queue.
 //! The final metrics JSON goes to `--stats-out` when given, stderr always.
+//! An unknown flag exits 2 with the usage text.
 //! The timeout flags tune how the front-end treats misbehaving peers
 //! (see [`ktiler_svc::ServerTuning`]): how often an idle socket re-checks
 //! the stop flag, how long a non-reading client may block a write, and
@@ -41,6 +42,32 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ktiler_svc::{serve_with, FaultPlan, ServerTuning, Service, ServiceConfig};
+
+/// Every flag `ktiler_serve` accepts; each takes one value.
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--cache-dir",
+    "--workers",
+    "--queue",
+    "--port-file",
+    "--stats-out",
+    "--read-poll-ms",
+    "--write-timeout-ms",
+    "--stall-timeout-ms",
+    "--peer",
+    "--peer-timeout-ms",
+    "--sync-interval-ms",
+    "--cache-budget-bytes",
+    "--fault",
+];
+
+/// Whether the command line is nothing but `--flag VALUE` pairs naming
+/// flags in [`FLAGS`], so a misspelled or retired flag is a usage error
+/// instead of a silently ignored setting.
+fn flags_are_known() -> bool {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    args.chunks(2).all(|pair| matches!(pair, [flag, _] if FLAGS.contains(&flag.as_str())))
+}
 
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -74,6 +101,9 @@ fn arg_millis(name: &str, default: Duration) -> Duration {
 }
 
 fn main() {
+    if !flags_are_known() {
+        usage();
+    }
     let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:0".into());
     let cache_dir = arg_value("--cache-dir").unwrap_or_else(|| ".ktiler-cache".into());
 

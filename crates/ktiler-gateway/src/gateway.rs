@@ -11,30 +11,28 @@
 //! the key space.
 //!
 //! **Failover.** A transport failure (dead node, torn connection,
-//! timeout) or a node-level rejection (`SHED`, `SHUTDOWN`) moves on to
-//! the next owner; the failed node is put on a cooldown so the next few
-//! thousand requests don't each re-pay the discovery timeout. Failures
-//! that are deterministic for the request (`BAD_REQUEST`, `PIPELINE`) are
-//! returned as-is — every replica would answer the same. When every owner
-//! fails, the gateway falls back to a local compute service when
-//! configured, else reports `INTERNAL`. Idempotency makes all of this
-//! safe: a schedule request is a pure function of its inputs, so trying
-//! it on two nodes can only cost duplicate work, never wrong answers.
+//! timeout), a nonsense answer, or a node-level rejection (`SHED`,
+//! `SHUTDOWN`) moves on to the next owner. Failures that are
+//! deterministic for the request (`BAD_REQUEST`, `PIPELINE`) are returned
+//! as-is — every replica would answer the same. When every owner fails,
+//! the gateway falls back to a local compute service when configured,
+//! else reports `INTERNAL`. Idempotency makes all of this safe: a
+//! schedule request is a pure function of its inputs, so trying it on two
+//! nodes can only cost duplicate work, never wrong answers. Replicas get
+//! their copies node to node — read-through peer fill on a miss and
+//! `DIGEST`/`SYNC` anti-entropy — never from the gateway.
 //!
-//! **Hot-key replication.** The gateway counts requests per routing key;
-//! when a key crosses `hot_threshold` it pushes the artifact (`PUT`) to
-//! the other owners, so the hot key is served even if its primary dies —
-//! without waiting for the failover path's peer fill.
-//!
-//! **Live membership.** A prober thread `PING`s every node each
-//! `probe_interval`; consecutive failures (from probes *and* failed
-//! forwards) drive the per-node state machine `Up → Suspect → Down`, and
-//! one successful probe or forward drives `→ Up`. Routing excludes `Down`
-//! and draining nodes via [`HashRing::owner_indices_excluding`], so their
-//! keys fall to ring successors *before* a request pays the discovery
-//! timeout — reactive failover remains as the safety net for the window
-//! between a crash and the probe that notices it. `DRAIN <addr>` marks a
-//! node draining (probed, never routed to) for graceful restarts.
+//! **Health.** One state machine per node, `Up → Suspect → Down`, fed by
+//! one failure streak: a prober thread `PING`s every node each
+//! `probe_interval`, and failed forwards count too. One successful probe
+//! or forward drives `→ Up`. Routing excludes `Down` and draining nodes
+//! via [`HashRing::owner_indices_excluding`], so their keys fall to ring
+//! successors *before* a request pays the discovery timeout, and tries
+//! `Up` owners before `Suspect` ones, so a node that just failed is tried
+//! last until a probe or a forward succeeds — reactive failover remains
+//! the safety net for the window between a crash and the probe that
+//! notices it. `DRAIN <addr>` marks a node draining (probed, never routed
+//! to) for graceful restarts.
 //!
 //! The event loop hands [`Dispatch::Pending`] tickets to a pool of
 //! forwarder threads (blocking I/O per forwarder, bounded by
@@ -51,16 +49,11 @@ use ktiler_svc::fault;
 use ktiler_svc::metrics::LatencyHistogram;
 use ktiler_svc::proto::{Request, Response};
 use ktiler_svc::{
-    CacheKey, Dispatch, FrontEnd, NetClient, ScheduleRequest, ScheduleResponse, Service,
-    ServiceConfig, SvcError, Ticket, TicketSink,
+    Dispatch, FrontEnd, NetClient, ScheduleRequest, ScheduleResponse, Service, ServiceConfig,
+    SvcError, Ticket, TicketSink,
 };
 
 use crate::ring::HashRing;
-
-/// Entries kept in the hot-key counting table before it is cleared
-/// wholesale — crude, but bounded, and a key hot enough to matter will
-/// re-cross the threshold quickly after a clear.
-const HOT_TABLE_CAP: usize = 4096;
 
 /// Tunables of a [`Gateway`].
 #[derive(Debug, Clone)]
@@ -73,9 +66,6 @@ pub struct GatewayConfig {
     pub vnodes: usize,
     /// Seed of the ring's point positions; every participant must agree.
     pub seed: u64,
-    /// Requests for one routing key before its artifact is pushed to the
-    /// other owners. Zero disables replication.
-    pub hot_threshold: u32,
     /// Forwarder threads draining the gateway queue (each holds one
     /// pooled connection per node).
     pub forwarders: usize,
@@ -84,16 +74,14 @@ pub struct GatewayConfig {
     pub queue_capacity: usize,
     /// Connect/read/write timeout for one attempt against one node.
     pub node_timeout: Duration,
-    /// How long a node that failed a transport attempt is deprioritized
-    /// (still tried when no live owner remains).
-    pub dead_cooldown: Duration,
     /// When set, the gateway starts a local [`Service`] and computes
     /// requests itself after every owner has failed — degraded latency,
     /// zero client-visible errors.
     pub local_fallback: Option<ServiceConfig>,
-    /// How often the health prober `PING`s every node. `None` disables
-    /// active probing (membership then moves only on forward failures).
-    pub probe_interval: Option<Duration>,
+    /// How often the health prober `PING`s every node; must be nonzero.
+    /// A probe success is what clears a `Suspect` node that receives no
+    /// traffic, so probing cannot be switched off.
+    pub probe_interval: Duration,
     /// Consecutive failures that move a node `Up → Suspect`.
     pub suspect_after: u32,
     /// Consecutive failures that move a node `Suspect → Down` (counted
@@ -104,37 +92,37 @@ pub struct GatewayConfig {
 
 impl GatewayConfig {
     /// A config with defaults sized for a handful of local nodes:
-    /// 2 owners per key, 64 vnodes, hot threshold 8, 4 forwarders, a
-    /// 16384-deep queue, 10 s node timeout and 1 s dead cooldown.
+    /// 2 owners per key, 64 vnodes, 4 forwarders, a 16384-deep queue, a
+    /// 10 s node timeout and a 500 ms probe interval.
     pub fn new(nodes: Vec<String>) -> Self {
         GatewayConfig {
             nodes,
             replicas: 2,
             vnodes: 64,
             seed: 0,
-            hot_threshold: 8,
             forwarders: 4,
             queue_capacity: 16384,
             node_timeout: Duration::from_secs(10),
-            dead_cooldown: Duration::from_secs(1),
             local_fallback: None,
-            probe_interval: Some(Duration::from_millis(500)),
+            probe_interval: Duration::from_millis(500),
             suspect_after: 1,
             down_after: 3,
         }
     }
 }
 
-/// The health state the prober assigns a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The health state the prober assigns a node, ordered from most to
+/// least preferred for routing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NodeState {
     /// Answering probes (or forwards); routed to normally.
     Up,
-    /// Missed at least `suspect_after` consecutive probes; still routed
-    /// to — one blip must not remap traffic.
+    /// At least `suspect_after` consecutive failed probes or forwards;
+    /// still routed to — one blip must not remap traffic — but only after
+    /// the key's `Up` owners.
     Suspect,
-    /// Missed `down_after` consecutive probes; excluded from routing (its
-    /// keys fall to ring successors) until a probe succeeds again.
+    /// `down_after` consecutive failures; excluded from routing (its keys
+    /// fall to ring successors) until a probe or forward succeeds again.
     Down,
 }
 
@@ -179,8 +167,6 @@ struct GwMetrics {
     failovers: AtomicU64,
     sheds: AtomicU64,
     local_fallbacks: AtomicU64,
-    replications: AtomicU64,
-    replication_failures: AtomicU64,
     errors: AtomicU64,
     probe_rounds: AtomicU64,
     forward_latency: LatencyHistogram,
@@ -215,13 +201,7 @@ struct Inner {
     prober_cv: Condvar,
     metrics: GwMetrics,
     node_stats: Vec<NodeStats>,
-    /// Per node: deprioritized until this instant (transport-failure
-    /// cooldown).
-    dead_until: Mutex<Vec<Option<Instant>>>,
-    /// Routing key → requests seen; crossing `hot_threshold` triggers
-    /// replication, once.
-    hot: Mutex<HashMap<CacheKey, u32>>,
-    /// Per node: the prober's membership state machine.
+    /// Per node: the membership state machine.
     health: Mutex<Vec<NodeHealth>>,
     local: Option<Service>,
 }
@@ -236,12 +216,17 @@ pub struct Gateway {
 
 impl Gateway {
     /// Starts the gateway: builds the ring, starts the local fallback
-    /// service when configured, and spawns the forwarder pool.
+    /// service when configured, and spawns the forwarder pool and the
+    /// health prober.
     ///
     /// # Errors
     ///
-    /// Any error from starting the fallback service or spawning threads.
+    /// [`io::ErrorKind::InvalidInput`] for a zero `probe_interval`; any
+    /// error from starting the fallback service or spawning threads.
     pub fn start(cfg: GatewayConfig) -> io::Result<Gateway> {
+        if cfg.probe_interval.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "probe_interval must be > 0"));
+        }
         let ring = HashRing::build(&cfg.nodes, cfg.vnodes, cfg.seed);
         let local = match &cfg.local_fallback {
             Some(sc) => Some(Service::start(sc.clone())?),
@@ -257,8 +242,6 @@ impl Gateway {
             prober_cv: Condvar::new(),
             metrics: GwMetrics::default(),
             node_stats: (0..n).map(|_| NodeStats::default()).collect(),
-            dead_until: Mutex::new(vec![None; n]),
-            hot: Mutex::new(HashMap::new()),
             health: Mutex::new((0..n).map(|_| NodeHealth::new()).collect()),
             local,
         });
@@ -271,16 +254,15 @@ impl Gateway {
                     .spawn(move || inner.forwarder_loop())?,
             );
         }
-        let prober = match inner.cfg.probe_interval {
-            Some(interval) if !interval.is_zero() && n > 0 => {
-                let inner = Arc::clone(&inner);
-                Some(
-                    std::thread::Builder::new()
-                        .name("ktiler-gw-prober".into())
-                        .spawn(move || inner.prober_loop(interval))?,
-                )
-            }
-            _ => None,
+        let prober = if n > 0 {
+            let inner = Arc::clone(&inner);
+            Some(
+                std::thread::Builder::new()
+                    .name("ktiler-gw-prober".into())
+                    .spawn(move || inner.prober_loop())?,
+            )
+        } else {
+            None
         };
         Ok(Gateway { inner, forwarders: Mutex::new(handles), prober: Mutex::new(prober) })
     }
@@ -298,11 +280,6 @@ impl Gateway {
     /// Requests computed by the local fallback service.
     pub fn local_fallbacks(&self) -> u64 {
         self.inner.metrics.local_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Artifacts pushed to replica owners by hot-key replication.
-    pub fn replications(&self) -> u64 {
-        self.inner.metrics.replications.load(Ordering::Relaxed)
     }
 
     /// Completed prober rounds (one round probes every node once).
@@ -343,12 +320,10 @@ impl Gateway {
 
     /// Renders the gateway's metrics as JSON (the `STATS` answer):
     /// top-level counters, the forward-latency histogram, and one object
-    /// per node with its forwarded/failure counts and cooldown state.
+    /// per node with its forwarded/failure counts and membership state.
     pub fn stats_json(&self) -> String {
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let m = &self.inner.metrics;
-        let now = Instant::now();
-        let dead = fault::lock(&self.inner.dead_until);
         let health = fault::lock(&self.inner.health);
         let nodes = self
             .inner
@@ -360,11 +335,10 @@ impl Gateway {
                 let h = &health[i];
                 format!(
                     "{{\"addr\": \"{addr}\", \"forwarded\": {}, \"failures\": {}, \
-                     \"dead\": {}, \"state\": \"{}\", \"draining\": {}, \
+                     \"state\": \"{}\", \"draining\": {}, \
                      \"transitions\": {{\"to_suspect\": {}, \"to_down\": {}, \"to_up\": {}}}}}",
                     c(&self.inner.node_stats[i].forwarded),
                     c(&self.inner.node_stats[i].failures),
-                    dead[i].is_some_and(|t| t > now),
                     h.state.as_str(),
                     h.draining,
                     h.to_suspect,
@@ -377,16 +351,13 @@ impl Gateway {
         format!(
             "{{\n  \"gateway\": true,\n  \"requests\": {},\n  \"forwarded\": {},\n  \
              \"failovers\": {},\n  \"sheds\": {},\n  \"local_fallbacks\": {},\n  \
-             \"replications\": {},\n  \"replication_failures\": {},\n  \"errors\": {},\n  \
-             \"probe_rounds\": {},\n  \
+             \"errors\": {},\n  \"probe_rounds\": {},\n  \
              \"forward_latency_us\": {},\n  \"nodes\": [\n    {nodes}\n  ]\n}}",
             c(&m.requests),
             c(&m.forwarded),
             c(&m.failovers),
             c(&m.sheds),
             c(&m.local_fallbacks),
-            c(&m.replications),
-            c(&m.replication_failures),
             c(&m.errors),
             c(&m.probe_rounds),
             m.forward_latency.to_json()
@@ -419,14 +390,9 @@ impl FrontEnd for Gateway {
             }
             // The gateway holds no artifacts; peers exchange them node to
             // node.
-            Request::Fetch(_) | Request::Put { .. } => {
+            Request::Fetch(_) | Request::Digest | Request::Sync => {
                 Dispatch::Ready(Response::Err(SvcError::BadRequest(
-                    "the gateway routes schedule requests; send FETCH/PUT to a node".into(),
-                )))
-            }
-            Request::Digest | Request::Sync => {
-                Dispatch::Ready(Response::Err(SvcError::BadRequest(
-                    "DIGEST/SYNC are node verbs; the gateway holds no artifacts".into(),
+                    "FETCH/DIGEST/SYNC are node verbs; the gateway holds no artifacts".into(),
                 )))
             }
             Request::Drain { node, on } => Dispatch::Ready(match self.drain(&node, on) {
@@ -490,9 +456,9 @@ impl Inner {
         }
     }
 
-    /// Routes one job: owners in ring order (cooled-down nodes last),
-    /// failover on transport errors and node-level rejections, local
-    /// fallback when every owner failed.
+    /// Routes one job: owners in ring order (`Up` before `Suspect`),
+    /// failover on transport errors, nonsense answers and node-level
+    /// rejections, local fallback when every owner failed.
     fn forward(&self, job: GwJob, conns: &mut HashMap<usize, NetClient>) {
         if job.deadline.is_some_and(|d| Instant::now() >= d) {
             job.sink.fulfill(Err(SvcError::DeadlineExceeded));
@@ -500,39 +466,34 @@ impl Inner {
         }
         let t0 = Instant::now();
         let rk = job.req.routing_key();
-        // Route around nodes the prober has marked Down and nodes being
-        // drained: their keys fall to ring successors without rebuilding
-        // the ring, so every other key keeps its owner. When exclusion
-        // leaves nothing (everything down or draining), fall back to the
-        // unfiltered walk — a stale verdict must not turn into a refusal.
-        let excluded: Vec<bool> = {
+        // Route around Down and draining nodes: their keys fall to ring
+        // successors without rebuilding the ring, so every other key keeps
+        // its owner. When exclusion leaves nothing (everything down or
+        // draining), fall back to the unfiltered walk — a stale verdict
+        // must not turn into a refusal. Suspect owners go after Up ones
+        // (the sort is stable, so ring order holds within a state): they
+        // are still tried when the Up ones fail — a hint, not a verdict.
+        let owners = {
             let health = fault::lock(&self.health);
-            health.iter().map(|h| h.draining || h.state == NodeState::Down).collect()
-        };
-        let mut owners = self.ring.owner_indices_excluding(&rk, self.cfg.replicas, &excluded);
-        if owners.is_empty() {
-            owners = self.ring.owner_indices(&rk, self.cfg.replicas);
-        }
-        // Live owners first; cooled-down ones are still tried when the
-        // live ones fail — a cooldown is a hint, not a verdict.
-        let now = Instant::now();
-        let (live, cooled): (Vec<usize>, Vec<usize>) = {
-            let dead = fault::lock(&self.dead_until);
-            owners.iter().partition(|&&ni| dead[ni].is_none_or(|t| t <= now))
+            let excluded: Vec<bool> =
+                health.iter().map(|h| h.draining || h.state == NodeState::Down).collect();
+            let mut owners = self.ring.owner_indices_excluding(&rk, self.cfg.replicas, &excluded);
+            if owners.is_empty() {
+                owners = self.ring.owner_indices(&rk, self.cfg.replicas);
+            }
+            owners.sort_by_key(|&ni| health[ni].state);
+            owners
         };
         let mut result = None;
-        let mut attempts = 0u32;
-        for &ni in live.iter().chain(cooled.iter()) {
-            attempts += 1;
+        for (attempt, &ni) in owners.iter().enumerate() {
             match self.forward_to(ni, &job.req, conns) {
                 Ok(Response::Schedule(resp)) => {
                     fault_bump(&self.node_stats[ni].forwarded);
                     fault_bump(&self.metrics.forwarded);
-                    if attempts > 1 {
+                    if attempt > 0 {
                         fault_bump(&self.metrics.failovers);
                     }
                     self.record_success(ni);
-                    self.maybe_replicate(rk, &resp, &owners, ni, conns);
                     result = Some(Ok(resp));
                     break;
                 }
@@ -548,14 +509,9 @@ impl Inner {
                     }
                 },
                 // A node answering nonsense is as unusable as a dead one.
-                Ok(_unexpected) => {
+                Ok(_) | Err(_) => {
                     fault_bump(&self.node_stats[ni].failures);
                     conns.remove(&ni);
-                }
-                Err(_) => {
-                    fault_bump(&self.node_stats[ni].failures);
-                    conns.remove(&ni);
-                    self.mark_dead(ni);
                     self.record_failure(ni);
                 }
             }
@@ -593,67 +549,6 @@ impl Inner {
         Ok(r)
     }
 
-    /// Counts the routing key and, exactly when it crosses the hot
-    /// threshold, pushes the artifact to the other owners (best-effort;
-    /// a failed push costs nothing but the counter).
-    fn maybe_replicate(
-        &self,
-        rk: CacheKey,
-        resp: &ScheduleResponse,
-        owners: &[usize],
-        served_by: usize,
-        conns: &mut HashMap<usize, NetClient>,
-    ) {
-        if self.cfg.hot_threshold == 0 || resp.text.is_empty() {
-            return;
-        }
-        let count = {
-            let mut hot = fault::lock(&self.hot);
-            if hot.len() >= HOT_TABLE_CAP && !hot.contains_key(&rk) {
-                hot.clear();
-            }
-            let e = hot.entry(rk).or_insert(0);
-            *e += 1;
-            *e
-        };
-        if count != self.cfg.hot_threshold {
-            return;
-        }
-        let put = Request::Put { key: resp.key, text: resp.text.clone() };
-        for &ni in owners.iter().filter(|&&ni| ni != served_by) {
-            let ok = match self.forward_raw(ni, &put, conns) {
-                Ok(Response::Stored) => true,
-                Ok(_) | Err(_) => false,
-            };
-            if ok {
-                fault_bump(&self.metrics.replications);
-            } else {
-                fault_bump(&self.metrics.replication_failures);
-            }
-        }
-    }
-
-    /// Like [`Inner::forward_to`] but for an arbitrary request.
-    fn forward_raw(
-        &self,
-        ni: usize,
-        request: &Request,
-        conns: &mut HashMap<usize, NetClient>,
-    ) -> io::Result<Response> {
-        if let Some(c) = conns.get_mut(&ni) {
-            match c.request(request) {
-                Ok(r) => return Ok(r),
-                Err(_) => {
-                    conns.remove(&ni);
-                }
-            }
-        }
-        let mut c = NetClient::connect_timeout(&self.cfg.nodes[ni], self.cfg.node_timeout)?;
-        let r = c.request(request)?;
-        conns.insert(ni, c);
-        Ok(r)
-    }
-
     /// Every owner failed: compute locally when configured, else report.
     fn local_compute(&self, req: &ScheduleRequest) -> Result<ScheduleResponse, SvcError> {
         match &self.local {
@@ -665,29 +560,18 @@ impl Inner {
         }
     }
 
-    fn mark_dead(&self, ni: usize) {
-        fault::lock(&self.dead_until)[ni] = Some(Instant::now() + self.cfg.dead_cooldown);
-    }
-
-    fn mark_alive(&self, ni: usize) {
-        fault::lock(&self.dead_until)[ni] = None;
-    }
-
     /// One success (probe or forward) resets the failure streak and
-    /// brings the node back `Up`, clearing its failover cooldown — the
-    /// recovery half of the state machine, so a restarted node gets its
-    /// ring points (and only its keys) back immediately.
+    /// brings the node back `Up` — the recovery half of the state machine,
+    /// so a restarted node gets its ring points (and only its keys) and
+    /// its place in the try order back immediately.
     fn record_success(&self, ni: usize) {
-        {
-            let mut health = fault::lock(&self.health);
-            let h = &mut health[ni];
-            h.consecutive_failures = 0;
-            if h.state != NodeState::Up {
-                h.state = NodeState::Up;
-                h.to_up += 1;
-            }
+        let mut health = fault::lock(&self.health);
+        let h = &mut health[ni];
+        h.consecutive_failures = 0;
+        if h.state != NodeState::Up {
+            h.state = NodeState::Up;
+            h.to_up += 1;
         }
-        self.mark_alive(ni);
     }
 
     /// One failure (probe or forward) extends the streak; crossing
@@ -708,11 +592,12 @@ impl Inner {
         }
     }
 
-    /// The prober: each `interval`, `PING` every node over a fresh
+    /// The prober: each `probe_interval`, `PING` every node over a fresh
     /// connection (a pooled one would hide a dead node behind a warm
     /// kernel buffer) and feed the result to the state machine. The wait
-    /// sits on the queue condvar so shutdown wakes it immediately.
-    fn prober_loop(&self, interval: Duration) {
+    /// sits on the queue mutex so shutdown wakes it immediately.
+    fn prober_loop(&self) {
+        let interval = self.cfg.probe_interval;
         // A probe answers in microseconds on a healthy node; bounding it
         // by the interval keeps one hung node from stalling the round,
         // with a floor so tests running at millisecond cadence still give
@@ -765,21 +650,27 @@ mod tests {
             "failovers",
             "sheds",
             "local_fallbacks",
-            "replications",
-            "replication_failures",
             "errors",
             "forward_latency_us",
             "nodes",
             "addr",
-            "dead",
+            "state",
         ] {
             assert!(json.contains(&format!("\"{field}\"")), "{field} missing from {json}");
         }
         let Dispatch::Ready(Response::Err(SvcError::BadRequest(_))) =
-            gw.handle(Request::Fetch(CacheKey { hi: 1, lo: 2 }))
+            gw.handle(Request::Fetch(ktiler_svc::CacheKey { hi: 1, lo: 2 }))
         else {
             panic!("FETCH should be rejected at the gateway");
         };
+    }
+
+    #[test]
+    fn a_zero_probe_interval_is_rejected() {
+        let mut cfg = GatewayConfig::new(vec!["127.0.0.1:1".into()]);
+        cfg.probe_interval = Duration::ZERO;
+        let err = Gateway::start(cfg).err().expect("probing cannot be switched off");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
@@ -799,17 +690,113 @@ mod tests {
             iters: 2,
             levels: 2,
         });
-        let Dispatch::Pending(mut ticket) = gw.handle(Request::Schedule(req)) else {
+        let Dispatch::Pending(ticket) = gw.handle(Request::Schedule(req)) else {
             panic!("schedule should queue");
         };
+        let result = take(ticket);
+        assert!(matches!(result, Err(SvcError::Internal(_))), "{result:?}");
+    }
+
+    /// Waits (bounded) for the forwarders to answer `ticket`.
+    fn take(mut ticket: Ticket) -> Result<ScheduleResponse, SvcError> {
         let deadline = Instant::now() + Duration::from_secs(10);
-        let result = loop {
+        loop {
             if let Some(r) = ticket.try_take() {
-                break r;
+                return r;
             }
             assert!(Instant::now() < deadline, "forwarder never answered");
             std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn a_node_answering_nonsense_is_demoted_like_a_dead_one() {
+        // A fake node that answers every frame with `OK PONG`.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        std::thread::spawn(move || {
+            for stream in listener.incoming() {
+                let Ok(stream) = stream else { return };
+                let mut reader = std::io::BufReader::new(stream.try_clone().expect("clone"));
+                let mut writer = stream;
+                while let Ok(Some(_)) = ktiler_svc::proto::read_frame(&mut reader) {
+                    if ktiler_svc::proto::write_frame(&mut writer, &Response::Pong.encode())
+                        .is_err()
+                    {
+                        break;
+                    }
+                }
+            }
+        });
+        let mut cfg = GatewayConfig::new(vec![addr.clone()]);
+        // No probe round within the test: only the forward may move the
+        // state.
+        cfg.probe_interval = Duration::from_secs(60);
+        cfg.forwarders = 1;
+        cfg.node_timeout = Duration::from_secs(5);
+        let gw = Gateway::start(cfg).expect("start");
+        let req = ScheduleRequest::new(ktiler_svc::WorkloadSpec::OptFlow {
+            size: 32,
+            iters: 2,
+            levels: 2,
+        });
+        let Dispatch::Pending(ticket) = gw.handle(Request::Schedule(req)) else {
+            panic!("schedule should queue");
         };
+        let result = take(ticket);
         assert!(matches!(result, Err(SvcError::Internal(_))), "{result:?}");
+        assert_eq!(gw.node_state(&addr), Some((NodeState::Suspect, false)));
+        assert_eq!(gw.transitions(&addr), Some((1, 0, 0)));
+    }
+
+    #[test]
+    fn up_owners_are_tried_before_suspect_ones() {
+        // Two live nodes; the key's primary is made Suspect by hand, so
+        // the forward must go to the other owner first.
+        let svc_dirs: Vec<_> = (0..2)
+            .map(|i| {
+                std::env::temp_dir().join(format!("ktiler-gw-order-{i}-{}", std::process::id()))
+            })
+            .collect();
+        let servers: Vec<_> = svc_dirs
+            .iter()
+            .map(|d| {
+                let _ = std::fs::remove_dir_all(d);
+                let svc = Arc::new(Service::start(ServiceConfig::new(d)).expect("node"));
+                ktiler_svc::serve_with("127.0.0.1:0", svc, ktiler_svc::ServerTuning::default())
+                    .expect("serve")
+            })
+            .collect();
+        let nodes: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
+        let mut cfg = GatewayConfig::new(nodes.clone());
+        cfg.probe_interval = Duration::from_secs(60);
+        cfg.forwarders = 1;
+        let gw = Gateway::start(cfg).expect("start");
+        let req = ScheduleRequest::new(ktiler_svc::WorkloadSpec::OptFlow {
+            size: 32,
+            iters: 2,
+            levels: 2,
+        });
+        let owners = gw.ring().owner_indices(&req.routing_key(), 2);
+        let (primary, other) = (owners[0], owners[1]);
+        gw.inner.record_failure(primary);
+        assert_eq!(gw.node_state(&nodes[primary]), Some((NodeState::Suspect, false)));
+
+        let Dispatch::Pending(ticket) = gw.handle(Request::Schedule(req)) else {
+            panic!("schedule should queue");
+        };
+        take(ticket).expect("the Up owner answers");
+        let forwarded = |ni: usize| gw.inner.node_stats[ni].forwarded.load(Ordering::Relaxed);
+        assert_eq!((forwarded(primary), forwarded(other)), (0, 1));
+        assert_eq!(gw.failovers(), 0, "trying the Up owner first is not a failover");
+        assert_eq!(gw.node_state(&nodes[primary]), Some((NodeState::Suspect, false)));
+        drop(gw);
+        for s in servers {
+            s.request_stop();
+            drop(s.join());
+        }
+        for d in &svc_dirs {
+            let _ = std::fs::remove_dir_all(d);
+        }
     }
 }

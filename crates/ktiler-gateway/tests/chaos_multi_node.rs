@@ -78,19 +78,15 @@ fn killing_the_owning_node_fails_over_byte_identically() {
     let nodes = vec![addr_a.clone(), addr_b.clone()];
 
     let mut gcfg = GatewayConfig::new(nodes.clone());
-    // Replicate on the very first response, so the replica holds the
-    // artifact before the owner dies.
-    gcfg.hot_threshold = 1;
     gcfg.forwarders = 2;
     gcfg.node_timeout = Duration::from_secs(10);
-    gcfg.dead_cooldown = Duration::from_millis(200);
     let gw = Arc::new(Gateway::start(gcfg).expect("start gateway"));
     let owner_addr = gw.ring().primary(&req.routing_key()).expect("owner").to_string();
     let gw_server =
         serve_front("127.0.0.1:0", Arc::clone(&gw), ServerTuning::default()).expect("serve gw");
     let gw_addr = gw_server.local_addr().to_string();
 
-    // Warm: computed on the owner, replicated to the other node.
+    // Warm: computed on the owner.
     let first = schedule_via(&gw_addr, &req);
     assert_eq!(first.text, reference, "warm response diverged from the reference");
 
@@ -214,13 +210,10 @@ fn flapping_node_walks_up_down_up_with_zero_client_errors() {
     let (server_b, svc_b, addr_b) = start_node("flap-b", vec![]);
 
     let mut gcfg = GatewayConfig::new(vec![addr_a.clone(), addr_b.clone()]);
-    // Replicate on the first response so both nodes hold the artifact
-    // before anything dies; probe fast so the test sees the transitions.
-    gcfg.hot_threshold = 1;
+    // Probe fast so the test sees the transitions.
     gcfg.forwarders = 2;
     gcfg.node_timeout = Duration::from_secs(5);
-    gcfg.dead_cooldown = Duration::from_millis(100);
-    gcfg.probe_interval = Some(Duration::from_millis(25));
+    gcfg.probe_interval = Duration::from_millis(25);
     gcfg.suspect_after = 1;
     gcfg.down_after = 2;
     let gw = Arc::new(Gateway::start(gcfg).expect("start gateway"));

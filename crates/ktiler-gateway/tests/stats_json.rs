@@ -30,6 +30,14 @@ impl Json {
             _ => None,
         }
     }
+
+    /// An object's keys in sorted order (empty for any other value).
+    fn keys(&self) -> Vec<&str> {
+        match self {
+            Json::Obj(m) => m.keys().map(String::as_str).collect(),
+            _ => Vec::new(),
+        }
+    }
 }
 
 /// Recursive-descent parser over the full input; anything left over
@@ -184,8 +192,9 @@ fn the_parser_rejects_malformed_documents() {
 #[test]
 fn gateway_stats_parse_as_json_with_the_per_node_fields() {
     let mut cfg = GatewayConfig::new(vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()]);
-    // No probing: this test validates the document shape, not liveness.
-    cfg.probe_interval = None;
+    // No probe round within the test: it validates the document shape,
+    // not liveness.
+    cfg.probe_interval = Duration::from_secs(3600);
     cfg.forwarders = 1;
     cfg.node_timeout = Duration::from_millis(100);
     let gw = Arc::new(Gateway::start(cfg).expect("start gateway"));
@@ -193,22 +202,31 @@ fn gateway_stats_parse_as_json_with_the_per_node_fields() {
 
     let doc = parse(&gw.stats_json()).expect("STATS must be valid JSON");
 
-    for counter in [
-        "requests",
-        "forwarded",
-        "failovers",
-        "sheds",
-        "local_fallbacks",
-        "replications",
-        "replication_failures",
-        "errors",
-        "probe_rounds",
-    ] {
+    for counter in
+        ["requests", "forwarded", "failovers", "sheds", "local_fallbacks", "errors", "probe_rounds"]
+    {
         assert!(
             matches!(doc.get(counter), Some(Json::Num(_))),
             "top-level counter '{counter}' missing or not a number"
         );
     }
+    // The exact field set, so neither a removed counter (the hot-key
+    // replication pair) nor the per-node cooldown flag can come back.
+    assert_eq!(
+        doc.keys(),
+        [
+            "errors",
+            "failovers",
+            "forward_latency_us",
+            "forwarded",
+            "gateway",
+            "local_fallbacks",
+            "nodes",
+            "probe_rounds",
+            "requests",
+            "sheds"
+        ]
+    );
     assert!(doc.get("forward_latency_us").is_some(), "latency histogram missing");
 
     let Some(Json::Arr(nodes)) = doc.get("nodes") else {
@@ -219,7 +237,10 @@ fn gateway_stats_parse_as_json_with_the_per_node_fields() {
         assert!(matches!(node.get("addr"), Some(Json::Str(_))));
         assert!(matches!(node.get("forwarded"), Some(Json::Num(_))));
         assert!(matches!(node.get("failures"), Some(Json::Num(_))));
-        assert!(matches!(node.get("dead"), Some(Json::Bool(_))));
+        assert_eq!(
+            node.keys(),
+            ["addr", "draining", "failures", "forwarded", "state", "transitions"]
+        );
         assert!(matches!(node.get("draining"), Some(Json::Bool(_))));
         let Some(Json::Str(state)) = node.get("state") else {
             panic!("per-node 'state' missing or not a string");

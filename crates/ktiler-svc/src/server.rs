@@ -56,7 +56,7 @@ use gpu_sim::SplitMix64;
 use crate::fault;
 use crate::key::CacheKey;
 use crate::proto::{
-    read_frame, write_frame, DecodeEvent, FrameDecoder, Request, Response, MAX_CONTROL_FRAME,
+    read_frame, write_frame, DecodeEvent, FrameDecoder, Request, Response, MAX_REQUEST_FRAME,
     PROTO_VERSION,
 };
 use crate::service::{Mailbox, Service, SvcError, Ticket};
@@ -191,12 +191,6 @@ impl FrontEnd for Service {
                 Some(text) => Response::Artifact { key, text },
                 None => Response::Err(SvcError::NotFound),
             }),
-            Request::Put { key, text } => {
-                Dispatch::Ready(match self.client().put_artifact(&key, &text) {
-                    Ok(()) => Response::Stored,
-                    Err(e) => Response::Err(e),
-                })
-            }
             Request::Schedule(req) => match self.client().submit(req) {
                 Ok(ticket) => Dispatch::Pending(ticket),
                 Err(e) => Dispatch::Ready(Response::Err(e)),
@@ -591,13 +585,13 @@ impl<F: FrontEnd> EventLoop<F> {
                     self.conns[i].pending.push_back(slot);
                 }
             },
-            DecodeEvent::OversizedControl { verb, declared } => {
+            DecodeEvent::Oversized { declared } => {
                 // The payload was discarded, framing is intact; answer
                 // with a typed error and keep the connection.
                 self.conns[i].pending.push_back(Slot::Done(
                     Response::Err(SvcError::BadRequest(format!(
-                        "{declared}-byte payload exceeds the {MAX_CONTROL_FRAME}-byte \
-                         budget for control verb '{verb}'"
+                        "{declared}-byte payload exceeds the {MAX_REQUEST_FRAME}-byte \
+                         request budget"
                     )))
                     .encode(),
                 ));

@@ -241,11 +241,26 @@ SERVE_PID=""
 grep -qF '"requests": 3' "$SVC_DIR/stats.json" \
     || { echo "error: final stats dump missing or wrong" >&2; cat "$SVC_DIR/stats.json" >&2; exit 1; }
 
+echo "== service binaries reject unknown flags =="
+# A retired or misspelled flag must be a usage error (exit 2), never a
+# silently ignored setting. `timeout` bounds a binary that wrongly starts.
+expect_usage_error() {
+    local status=0
+    timeout 10 "$@" >/dev/null 2>&1 || status=$?
+    if [[ $status -ne 2 ]]; then
+        echo "error: '$*' exited $status, expected the usage error (2)" >&2
+        exit 1
+    fi
+}
+expect_usage_error target/release/ktiler_gateway --node 127.0.0.1:1 --hot-threshold 1
+expect_usage_error target/release/ktiler_gateway --node 127.0.0.1:1 --probe-interval-ms 0
+expect_usage_error target/release/ktiler_serve --cache-dir "$SVC_DIR/unused" --no-such-flag 1
+
 echo "== multi-node smoke test (2 nodes + gateway) =="
 # The deployment story live: two peered nodes behind a gateway, driven
-# miss -> hit -> kill-the-owning-node -> failover, every answer
-# byte-identical. --hot-threshold 1 replicates the artifact to the
-# replica owner on the first response, so the post-kill request must be
+# miss -> hit -> anti-entropy -> kill-the-owning-node -> failover, every
+# answer byte-identical. One SYNC on the non-owning node copies the
+# artifact to it before the owner dies, so the post-kill request must be
 # served without a recompute.
 wait_port_file() {
     local file=$1 pid=$2 what=$3
@@ -271,9 +286,18 @@ target/release/ktiler_serve --addr 127.0.0.1:0 --cache-dir "$MN_DIR/cache1" \
 NODE1_PID=$!
 wait_port_file "$MN_DIR/port1" "$NODE1_PID" "node 1"
 ADDR1=$(cat "$MN_DIR/port1")
+# Restart node 0 on its own address, now peered with node 1, so the two
+# nodes peer each other both ways.
+"${CLIENT[@]}" shutdown --addr "$ADDR0" | grep '^BYE$' >/dev/null \
+    || { echo "error: node 0 shutdown not acknowledged" >&2; exit 1; }
+wait "$NODE0_PID" 2>/dev/null || true
+rm -f "$MN_DIR/port0"
+target/release/ktiler_serve --addr "$ADDR0" --cache-dir "$MN_DIR/cache0" \
+    --peer "$ADDR1" --port-file "$MN_DIR/port0" >"$MN_DIR/node0.log" 2>&1 &
+NODE0_PID=$!
+wait_port_file "$MN_DIR/port0" "$NODE0_PID" "node 0 (peered restart)"
 target/release/ktiler_gateway --node "$ADDR0" --node "$ADDR1" \
-    --addr 127.0.0.1:0 --hot-threshold 1 --dead-cooldown-ms 200 \
-    --port-file "$MN_DIR/gwport" >"$MN_DIR/gateway.log" 2>&1 &
+    --addr 127.0.0.1:0 --port-file "$MN_DIR/gwport" >"$MN_DIR/gateway.log" 2>&1 &
 GW_PID=$!
 wait_port_file "$MN_DIR/gwport" "$GW_PID" "gateway"
 GW_ADDR=$(cat "$MN_DIR/gwport")
@@ -297,16 +321,24 @@ OWNER=$(awk -F'"' '/"addr"/ {
             }
         } END { print owner }' "$MN_DIR/gw_stats.json")
 if [[ "$OWNER" == "$ADDR0" ]]; then
-    kill "$NODE0_PID"; wait "$NODE0_PID" 2>/dev/null || true; NODE0_PID=""
+    REPLICA=$ADDR1
 elif [[ "$OWNER" == "$ADDR1" ]]; then
-    kill "$NODE1_PID"; wait "$NODE1_PID" 2>/dev/null || true; NODE1_PID=""
+    REPLICA=$ADDR0
 else
     echo "error: cannot identify the owning node from gateway stats" >&2
     cat "$MN_DIR/gw_stats.json" >&2
     exit 1
 fi
+# One anti-entropy round on the other node pulls the owner's artifact.
+"${CLIENT[@]}" sync --addr "$REPLICA" | grep -E '^SYNCED pulled=1 failed=0 ' >/dev/null \
+    || { echo "error: SYNC on the replica did not pull the owner's artifact" >&2; exit 1; }
+if [[ "$OWNER" == "$ADDR0" ]]; then
+    kill "$NODE0_PID"; wait "$NODE0_PID" 2>/dev/null || true; NODE0_PID=""
+else
+    kill "$NODE1_PID"; wait "$NODE1_PID" 2>/dev/null || true; NODE1_PID=""
+fi
 
-# The owner is dead; the replica must serve the replicated artifact as a
+# The owner is dead; the replica must serve the synced artifact as a
 # plain hit, byte-identical, with no client-visible error.
 "${CLIENT[@]}" "${GW_SCHED[@]}" --out "$MN_DIR/failover.sched" | grep '^HIT ' >/dev/null \
     || { echo "error: post-kill request should fail over to a replica HIT" >&2; exit 1; }
